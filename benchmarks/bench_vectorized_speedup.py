@@ -5,11 +5,13 @@ queries, prepared once and executed warm against two databases loaded
 from the same corpus —
 
 * *vectorized*: the shipped default (:data:`~repro.engine.config.VECTORIZED`)
-  — 1024-row batches, compiled expression closures, scan-level predicate
-  and projection pushdown;
-* *row-at-a-time*: :data:`~repro.engine.config.ROW_AT_A_TIME` — batch
-  size 1, interpreted expression trees, no pushdown — the engine as it
-  behaved before this layer existed.
+  — 1024-row batches;
+* *row-at-a-time*: ``ExecutionConfig(batch_size=1)`` — one row per
+  batch, the classic Volcano regime.
+
+Both sides run the same plans, the same generated expression closures
+and the same scan-level predicate and projection pushdown, so the
+measured difference is batching alone.
 
 The asserted figure is the median per-query speedup over the
 scan/filter-heavy subset of the workload (the queries whose cost is
@@ -19,8 +21,7 @@ point-ish queries, so they are reported but not gated).  The gate is
 **>= 2x**.
 
 Both sides are warmed before timing so the process-wide XADT decode
-cache (shared between the two databases) favors neither side; the
-measured difference is the execution layer itself.
+cache (shared between the two databases) favors neither side.
 
 ``REPRO_VEC_QUICK=1`` drops the round count for CI smoke runs.
 """
@@ -34,7 +35,7 @@ import time
 from conftest import print_report
 
 from repro.bench.harness import build_pair
-from repro.engine.config import ROW_AT_A_TIME
+from repro.engine.config import ExecutionConfig
 from repro.workloads import SHAKESPEARE_QUERIES
 
 import pytest
@@ -55,7 +56,9 @@ EXECUTIONS = 1 if QUICK else 3
 def engine_pairs():
     """(vectorized, row-at-a-time) Shakespeare pairs over one corpus."""
     vectorized = build_pair("shakespeare", 1)
-    row_mode = build_pair("shakespeare", 1, exec_config=ROW_AT_A_TIME)
+    row_mode = build_pair(
+        "shakespeare", 1, exec_config=ExecutionConfig(batch_size=1)
+    )
     return vectorized, row_mode
 
 

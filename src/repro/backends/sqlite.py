@@ -62,8 +62,8 @@ from repro.engine.expr import (
     Parameter,
     Star,
 )
-from repro.engine.expr_compile import XADT_METHOD_NAMES
 from repro.engine.plan.logical import (
+    XADT_METHOD_NAMES,
     LogicalAggregate,
     LogicalDistinct,
     LogicalFilter,

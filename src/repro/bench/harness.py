@@ -194,8 +194,8 @@ def build_database(
     runstats — the paper's full database-preparation path (its loading
     experiment compares ready-to-query databases).  ``exec_config``
     selects the execution mode (vectorized by default); the speedup
-    benchmark passes :data:`~repro.engine.config.ROW_AT_A_TIME` to build
-    its baseline side.
+    benchmark passes ``ExecutionConfig(batch_size=1)`` to build its
+    row-at-a-time baseline side.
     """
     db = Database(algorithm, exec_config=exec_config)
     register_xadt_functions(db)

@@ -383,14 +383,31 @@ class QueryGenerator:
             agg = rng.choice(["SUM", "MIN", "MAX"]) + (
                 f"({rng.choice(profile.int_columns)})"
             )
-        sql = f"SELECT {group}, {agg} FROM {profile.name}"
+        item = self._over_aggregate(rng, agg)
+        sql = f"SELECT {group}, {item} FROM {profile.name}"
         where, params = self._where(rng, profile)
         if where:
             sql += f" WHERE {where}"
         sql += f" GROUP BY {group}"
         if rng.random() < 0.4:
-            sql += f" HAVING COUNT(*) > {rng.randint(0, 3)}"
+            term = self._over_aggregate(rng, rng.choice(["COUNT(*)", agg]))
+            if " IS " not in term:
+                term += f" > {rng.randint(-3, 3)}"
+            sql += f" HAVING {term}"
         return GeneratedQuery(sql, params, "group")
+
+    @staticmethod
+    def _over_aggregate(rng: random.Random, agg: str) -> str:
+        """``agg`` itself or an expression over it.
+
+        Never ``/``: the engine floors integer division and sqlite
+        truncates, so the backend refuses it as unsupported.
+        """
+        k = rng.randint(1, 3)
+        return rng.choice([
+            agg, agg, f"-{agg}", f"{agg} + {k}", f"{agg} - {k}",
+            f"{agg} * {k}", f"{agg} IS NULL", f"{agg} IS NOT NULL",
+        ])
 
     def _shape_join(self, rng: random.Random) -> GeneratedQuery:
         edge = rng.choice(self.edges)

@@ -11,13 +11,6 @@ and steers the physical layer the planner emits:
   still fits comfortably in cache.  ``batch_size=1`` degenerates to the
   classic row-at-a-time Volcano regime and is the measured baseline of
   ``benchmarks/bench_vectorized_speedup.py``.
-* ``compiled_expressions`` — lower predicates/projections through
-  :mod:`repro.engine.expr_compile` (one generated closure per
-  expression) instead of the tree-walking closure chains of
-  :func:`repro.engine.expr.compile_expr`.
-* ``scan_pushdown`` — push single-table predicates and the needed-column
-  projection into ``SeqScan``/``IndexScan`` so filtered scans never
-  materialize dropped columns.
 * ``xadt_structural_index`` — route the XADT methods through the
   persistent per-column structural index
   (:mod:`repro.xadt.structural_index`) when one is published for the
@@ -30,9 +23,13 @@ and steers the physical layer the planner emits:
   Scans of partitioned tables with ``parallel_workers >= 1`` are
   wrapped in a scatter-gather Exchange.
 
+Expressions always compile through :mod:`repro.engine.expr_compile`,
+and the optimizer always pushes single-table predicates and the
+needed-column projection into the scans.
+
 Changing the config on a live database bumps its config epoch, which
-invalidates cached plans (their operators bake in batch sizes, compiled
-closures, and pruned scan layouts).
+invalidates cached plans (their operators bake in batch sizes, the XADT
+access path and Exchange wrapping).
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ class ExecutionConfig:
     """Immutable knobs of the vectorized execution layer."""
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    compiled_expressions: bool = True
-    scan_pushdown: bool = True
     xadt_structural_index: bool = False
     parallel_workers: int = 0
 
@@ -64,18 +59,10 @@ class ExecutionConfig:
     def as_dict(self) -> dict[str, object]:
         return {
             "batch_size": self.batch_size,
-            "compiled_expressions": self.compiled_expressions,
-            "scan_pushdown": self.scan_pushdown,
             "xadt_structural_index": self.xadt_structural_index,
             "parallel_workers": self.parallel_workers,
         }
 
-
-#: the pre-vectorization regime: one row per batch, tree-walking
-#: expression closures, no scan-level pushdown — the benchmark baseline
-ROW_AT_A_TIME = ExecutionConfig(
-    batch_size=1, compiled_expressions=False, scan_pushdown=False
-)
 
 #: the shipped default
 VECTORIZED = ExecutionConfig()
@@ -84,6 +71,5 @@ VECTORIZED = ExecutionConfig()
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "ExecutionConfig",
-    "ROW_AT_A_TIME",
     "VECTORIZED",
 ]

@@ -39,7 +39,8 @@ from typing import Iterator
 from repro.engine.advisor import IndexAdvisor
 from repro.engine.catalog import CatalogManager, CatalogState
 from repro.engine.config import ExecutionConfig
-from repro.engine.expr import Binding, ParamBox, compile_expr
+from repro.engine.expr import Binding, Literal, ParamBox, Parameter
+from repro.engine.expr_compile import compile_projection
 from repro.engine.governor import ResourceGovernor
 from repro.engine.index import Index
 from repro.engine.io import IoRouter
@@ -687,24 +688,40 @@ class Database:
             return Result(["status"], [("table dropped",)])
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
-    def _execute_insert(
-        self, statement: InsertStmt, params: ParamBox | None = None
-    ) -> Result:
+    def _execute_insert(self, statement: InsertStmt, params: ParamBox) -> Result:
         """Evaluate the VALUES rows, then insert them as one atomic batch.
 
-        Evaluation happens *before* the write transaction opens, so a
-        bad expression never holds the writer lock, and the whole
-        statement lands through :meth:`bulk_insert` — one WAL record,
-        all-or-nothing storage semantics.
+        Literal and ``?`` values are read directly; the remaining value
+        expressions compile together into one projection closure, so a
+        statement pays at most one code generation however many rows it
+        carries.  Evaluation happens *before* the write transaction
+        opens, so a bad expression never holds the writer lock, and the
+        whole statement lands through :meth:`bulk_insert` — one WAL
+        record, all-or-nothing storage semantics.
         """
         schema = self.heap(statement.table).schema
-        empty = Binding([])
+        computed = [
+            expr
+            for value_row in statement.rows
+            for expr in value_row
+            if not isinstance(expr, (Literal, Parameter))
+        ]
+        results = iter(
+            compile_projection(computed, Binding([]), self.registry, params)(())
+            if computed
+            else ()
+        )
+
+        def value_of(expr) -> object:
+            if isinstance(expr, Literal):
+                return expr.value
+            if isinstance(expr, Parameter):
+                return params.values[expr.index]
+            return next(results)
+
         rows: list[tuple] = []
         for value_row in statement.rows:
-            values = [
-                compile_expr(expr, empty, self.registry, params)(())
-                for expr in value_row
-            ]
+            values = [value_of(expr) for expr in value_row]
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise ExecutionError("INSERT arity mismatch")

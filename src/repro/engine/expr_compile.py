@@ -1,11 +1,13 @@
-"""Source-level expression compilation (the vectorized executor's lane).
+"""The expression compiler: Expr trees to generated Python closures.
 
-:func:`repro.engine.expr.compile_expr` builds a closure *tree*: one
-lambda per AST node, so evaluating ``a = 3 AND b LIKE '%x%'`` costs five
-Python calls per row.  This module lowers the same AST into a single
-Python source fragment, compiles it once per (cached) plan, and returns
-one closure whose body is the whole expression — per-row cost collapses
-to one call plus the work itself.
+Every expression the engine evaluates — predicates, SELECT lists, GROUP
+BY keys, aggregate arguments, post-aggregation HAVING/ORDER BY terms
+(whose aggregates the planner has replaced by :class:`SlotRef`
+placeholders), table-function arguments and INSERT values — goes
+through this module.  It lowers the AST into a single Python source
+fragment, compiles it once per (cached) plan, and returns one closure
+whose body is the whole expression, so per-row cost is one call plus
+the work itself.
 
 The compiled closure carries two batch-level companions as attributes
 (compiled from the same fragment against the same environment):
@@ -16,10 +18,11 @@ The compiled closure carries two batch-level companions as attributes
 so batch operators can run a whole batch inside one list comprehension
 without re-entering Python call dispatch per row.
 
-Semantics are bit-identical to the interpreted evaluator (enforced by
-``tests/engine/test_expr_compile.py``): NULL comparisons are not true,
-LIKE on NULL is false, ``NOT LIKE`` requires a non-NULL operand,
-arithmetic propagates NULL and divides ints with ``//``, and scalar
+Semantics (pinned by ``tests/engine/test_expr_compile.py``, partly
+against the SQLite backend): NULL comparisons are not true, LIKE on
+NULL is false, ``NOT LIKE`` requires a non-NULL operand, arithmetic
+propagates NULL, divides ints with ``//`` and raises
+:class:`~repro.errors.ExecutionError` on bad operands, and scalar
 function calls still go through ``FunctionRegistry.call_scalar`` so UDF
 invocation counts (Figure 14) are unchanged.  Typed fast paths — a
 comparison of an INTEGER/VARCHAR column against a literal of the same
@@ -49,24 +52,16 @@ from repro.engine.expr import (
     Or,
     ParamBox,
     Parameter,
+    SlotRef,
     Star,
 )
 from repro.engine.types import IntegerType, VarcharType
 from repro.engine.udf import FunctionRegistry
 from repro.errors import ExecutionError, PlanError
 
-#: the XADT method names (lowercased) whose calls can route through the
-#: structural index; lowering records them so EXPLAIN can label the
-#: access path (``xadt[xindex]`` vs ``xadt[scan]``)
-XADT_METHOD_NAMES = frozenset(
-    {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
-)
-
-
 # -- arithmetic helpers (bound into generated source) ------------------------
 #
-# Each mirrors the corresponding branch of expr.compile_expr: NULL
-# propagates, int/int division floors, failures raise ExecutionError.
+# NULL propagates, int/int division floors, failures raise ExecutionError.
 
 
 def _arith_add(lv: object, rv: object) -> object:
@@ -118,9 +113,8 @@ _ARITH_FNS = {
 def _negate(value: object) -> object:
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        if not isinstance(value, (int, float)):
-            raise ExecutionError(f"cannot negate {value!r}")
+    if not isinstance(value, (int, float)):
+        raise ExecutionError(f"cannot negate {value!r}")
     return -value  # type: ignore[operator]
 
 
@@ -134,7 +128,6 @@ class _Lowering:
         params: ParamBox | None,
     ) -> None:
         self.binding = binding
-        self.registry = registry
         self.params = params
         self.env: dict[str, object] = {
             "__builtins__": {},
@@ -142,8 +135,6 @@ class _Lowering:
             "_call_scalar": registry.call_scalar,
         }
         self._counter = 0
-        #: XADT method names seen while lowering (for EXPLAIN labels)
-        self.xadt_methods: set[str] = set()
 
     def bind(self, value: object, prefix: str = "_g") -> str:
         name = f"{prefix}{self._counter}"
@@ -165,6 +156,8 @@ class _Lowering:
             return f"_params.values[{expr.index}]"
         if isinstance(expr, ColumnRef):
             return f"row[{self.binding.resolve(expr)}]"
+        if isinstance(expr, SlotRef):
+            return f"row[{expr.index}]"
         if isinstance(expr, Star):
             raise PlanError("'*' is only valid inside COUNT(*)")
         if isinstance(expr, FuncCall):
@@ -172,8 +165,6 @@ class _Lowering:
                 raise PlanError(
                     f"aggregate {expr.name}() in a non-aggregate context"
                 )
-            if expr.name.lower() in XADT_METHOD_NAMES:
-                self.xadt_methods.add(expr.name.lower())
             args = ", ".join(self.lower(arg) for arg in expr.args)
             return f"_call_scalar({expr.name!r}, [{args}])"
         if isinstance(expr, Comparison):
@@ -203,9 +194,6 @@ class _Lowering:
         if isinstance(expr, Negate):
             self.env.setdefault("_negate", _negate)
             return f"_negate({self.lower(expr.operand)})"
-        if type(expr).__name__ in ("SlotRef", "_SlotRef") and hasattr(expr, "index"):
-            # the planner's post-aggregation slot placeholder
-            return f"row[{expr.index}]"
         raise PlanError(f"cannot compile expression node {type(expr).__name__}")
 
     def _literal(self, value: object) -> str:
@@ -291,27 +279,22 @@ def compile_row_expr(
 ) -> Compiled:
     """Lower ``expr`` to one generated closure (plus batch companions).
 
-    Drop-in replacement for :func:`repro.engine.expr.compile_expr`; the
-    returned callable additionally exposes ``batch_filter``,
-    ``batch_eval``, and the generated ``source`` fragment.
+    ``params`` is the bind-value box Parameter markers read from; plans
+    compiled without one reject markers with PlanError.  The returned
+    callable exposes ``batch_filter``, ``batch_eval``, and the generated
+    ``source`` fragment.
     """
     lowering = _Lowering(binding, registry, params)
     fragment = lowering.lower(expr)
     env = lowering.env
-    try:
-        fn = _compile_fragment(f"lambda row: {fragment}", env)
-        fn.batch_filter = _compile_fragment(
-            f"lambda _batch: [row for row in _batch if {fragment}]", env
-        )
-        fn.batch_eval = _compile_fragment(
-            f"lambda _batch: [{fragment} for row in _batch]", env
-        )
-    except SyntaxError:  # pragma: no cover - codegen bug safety net
-        from repro.engine.expr import compile_expr
-
-        return compile_expr(expr, binding, registry, params)
+    fn = _compile_fragment(f"lambda row: {fragment}", env)
+    fn.batch_filter = _compile_fragment(
+        f"lambda _batch: [row for row in _batch if {fragment}]", env
+    )
+    fn.batch_eval = _compile_fragment(
+        f"lambda _batch: [{fragment} for row in _batch]", env
+    )
     fn.source = fragment
-    fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn
 
 
@@ -331,23 +314,12 @@ def compile_projection(
     body = ", ".join(fragments) + ("," if len(fragments) == 1 else "")
     source = f"({body})"
     env = lowering.env
-    try:
-        fn = _compile_fragment(f"lambda row: {source}", env)
-        fn.batch_eval = _compile_fragment(
-            f"lambda _batch: [{source} for row in _batch]", env
-        )
-    except SyntaxError:  # pragma: no cover - codegen bug safety net
-        from repro.engine.expr import compile_expr
-
-        parts = [compile_expr(e, binding, registry, params) for e in exprs]
-
-        def fallback(row: tuple) -> tuple:
-            return tuple(part(row) for part in parts)
-
-        return fallback
+    fn = _compile_fragment(f"lambda row: {source}", env)
+    fn.batch_eval = _compile_fragment(
+        f"lambda _batch: [{source} for row in _batch]", env
+    )
     fn.source = source
-    fn.xadt_methods = frozenset(lowering.xadt_methods)
     return fn
 
 
-__all__ = ["XADT_METHOD_NAMES", "compile_projection", "compile_row_expr"]
+__all__ = ["compile_projection", "compile_row_expr"]

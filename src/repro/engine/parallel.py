@@ -9,8 +9,8 @@ processes.  This module owns everything below the operator:
   schema, alias, pushed predicate/projection ASTs, bind-parameter
   values, and (for partial aggregation) the GROUP BY / aggregate
   expression ASTs.  Workers re-compile the expressions locally with
-  :func:`repro.engine.expr_compile.compile_row_expr`, so no closures or
-  locks ever cross the process boundary;
+  :mod:`repro.engine.expr_compile`, so no closures or locks ever cross
+  the process boundary;
 * the **snapshot slice** — the partition's visible ``(row_id, row)``
   pairs under the statement's snapshot horizon.  Slices ship at most
   once per ``(table, partition, catalog version, horizon)`` key and are
@@ -48,7 +48,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.engine.expr import Binding, Slot
-from repro.engine.expr_compile import compile_row_expr
+from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.faults import FAULTS
 from repro.engine.udf import FunctionRegistry
 from repro.engine.values import group_key
@@ -233,13 +233,8 @@ def execute_fragment(
             pairs = [(rid, pick(row)) for rid, row in pairs]
         project = task.get("project")
         if project is not None:
-            fns = [
-                compile_row_expr(expr, out_binding, registry, params)
-                for expr in project
-            ]
-            pairs = [
-                (rid, tuple(fn(row) for fn in fns)) for rid, row in pairs
-            ]
+            fn = compile_projection(project, out_binding, registry, params)
+            pairs = [(rid, fn(row)) for rid, row in pairs]
         return pairs
 
     group_fns = [

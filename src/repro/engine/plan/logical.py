@@ -28,13 +28,23 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.engine.expr import ColumnRef, Comparison, Expr, FuncCall, Literal
+from repro.engine.expr import (
+    ColumnRef,
+    Comparison,
+    Expr,
+    FuncCall,
+    Literal,
+    SlotRef,
+)
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, SqlType
 
-#: scalar UDF names the engine treats as XADT methods (mirrors
-#: expr_compile.XADT_METHOD_NAMES; re-exported there to avoid a cycle)
-from repro.engine.expr_compile import XADT_METHOD_NAMES
+#: the XADT method names (lowercased) whose calls can route through the
+#: structural index; operators label that access path in EXPLAIN
+#: (``xadt[xindex]`` vs ``xadt[scan]``)
+XADT_METHOD_NAMES = frozenset(
+    {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
+)
 
 
 @dataclass
@@ -240,16 +250,6 @@ def collect_aggregates(
     return collected
 
 
-@dataclass(frozen=True)
-class SlotRef(Expr):
-    """Planner-internal direct slot reference (aggregate substitution)."""
-
-    index: int
-
-    def sql(self) -> str:
-        return f"$${self.index}"
-
-
 def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | None:
     """Replace substituted subtrees by :class:`SlotRef` placeholders.
 
@@ -287,12 +287,6 @@ def rebuild_with_slots(expr: Expr, substitutions: dict[Expr, int]) -> Expr | Non
         if replacements:
             return dataclasses.replace(expr, **replacements)
     return expr
-
-
-def contains_slot_ref(expr: Expr) -> bool:
-    if isinstance(expr, SlotRef):
-        return True
-    return any(contains_slot_ref(child) for child in children_of(expr))
 
 
 def output_name(expr: Expr, alias: str | None, position: int) -> str:
@@ -341,10 +335,9 @@ __all__ = [
     "LogicalProject",
     "LogicalScan",
     "LogicalSort",
-    "SlotRef",
+    "XADT_METHOD_NAMES",
     "children_of",
     "collect_aggregates",
-    "contains_slot_ref",
     "has_xadt_call",
     "infer_type",
     "output_name",

@@ -183,10 +183,7 @@ def plan_logical(stmt: SelectStmt, ctx: PlannerContext) -> LogicalNode:
         conjuncts_of(stmt.where), global_binding, set(heaps)
     )
 
-    config = _exec_config(ctx)
-    needed = (
-        _needed_columns(stmt, global_binding) if config.scan_pushdown else None
-    )
+    needed = _needed_columns(stmt, global_binding)
 
     node, binding, _ = _logical_joins(
         base_refs, heaps, stats, classified, ctx, needed

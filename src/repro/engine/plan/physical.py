@@ -15,12 +15,13 @@ per-tuple interpreter tax (iterator resumption, instrumentation branch,
 operator dispatch) to a per-batch cost: the inner loops below run over
 plain local lists, mostly as list comprehensions.
 
-Predicates and expressions arrive pre-compiled as closures, so operators
-stay free of name-resolution concerns.  Closures produced by
-:mod:`repro.engine.expr_compile` additionally carry ``batch_filter`` /
-``batch_eval`` companions which Filter/Project use to process a whole
-batch in one generated comprehension.  The optimizer is responsible for
-wiring compiled closures against the correct child bindings, including
+Predicates and expressions arrive pre-compiled by
+:mod:`repro.engine.expr_compile` (the one expression compiler), so
+operators stay free of name-resolution concerns.  Each closure carries
+``batch_filter`` / ``batch_eval`` companions which scans, Filter and
+Project use to process a whole batch in one generated comprehension.
+The optimizer is responsible for wiring compiled closures against the
+correct child bindings, including
 the scan-level projection pushdown (``SeqScan``/``IndexScan`` accept a
 ``projection`` column list and then bind only the surviving slots).
 """
@@ -35,24 +36,17 @@ from typing import Callable, Iterable, Iterator
 
 from repro.engine.config import DEFAULT_BATCH_SIZE, VECTORIZED
 from repro.engine.expr import (
-    And,
-    Arithmetic,
     Binding,
     ColumnRef,
-    Comparison,
     Compiled,
     Expr,
     FuncCall,
-    Like,
     Literal,
-    Not,
-    Or,
     ParamBox,
     Parameter,
     Slot,
     Star,
     and_together,
-    compile_expr,
 )
 from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.index import BTreeIndex, Index
@@ -74,8 +68,6 @@ from repro.engine.plan.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    SlotRef,
-    contains_slot_ref,
     infer_type,
     output_name,
     rebuild_with_slots,
@@ -263,17 +255,13 @@ class SeqScan(Operator):
                 self.table.data_pages() if version is None else version.pages
             )
             self.io.charge_sequential(pages)
-        predicate = self.predicate
         batch_filter = (
-            getattr(predicate, "batch_filter", None) if predicate is not None else None
+            self.predicate.batch_filter if self.predicate is not None else None
         )
         pick = _picker(self.projection)
         for chunk in self.table.scan_batches(self.batch_size, limit=bound):
-            if predicate is not None:
-                if batch_filter is not None:
-                    chunk = batch_filter(chunk)
-                else:
-                    chunk = [row for row in chunk if predicate(row)]
+            if batch_filter is not None:
+                chunk = batch_filter(chunk)
                 if not chunk:
                     continue
             if pick is not None:
@@ -693,16 +681,9 @@ class Filter(Operator):
         self.binding = input_op.binding
 
     def _execute(self) -> Iterator[Batch]:
-        predicate = self.predicate
-        batch_filter = getattr(predicate, "batch_filter", None)
-        if batch_filter is not None:
-            for batch in self.input.batches():
-                kept = batch_filter(batch)
-                if kept:
-                    yield kept
-            return
+        batch_filter = self.predicate.batch_filter
         for batch in self.input.batches():
-            kept = [row for row in batch if predicate(row)]
+            kept = batch_filter(batch)
             if kept:
                 yield kept
 
@@ -716,26 +697,21 @@ class Filter(Operator):
 class Project(Operator):
     """Compute the SELECT list.
 
-    Three regimes, fastest first: ``identity`` passes batches through
-    untouched (SELECT * over an aligned input), ``tuple_fn`` evaluates
-    the whole output tuple in one compiled closure (batch-evaluated when
-    the closure carries ``batch_eval``), and the generic path walks the
-    per-item closures row by row.
+    Either ``identity`` passes batches through untouched (SELECT * over
+    an aligned input), or ``tuple_fn`` — one
+    :func:`~repro.engine.expr_compile.compile_projection` closure —
+    evaluates the whole output tuple batch by batch.
     """
 
     def __init__(
         self,
         input_op: Operator,
-        exprs: list[Compiled],
         out_slots: list[Slot],
         tuple_fn: Compiled | None = None,
         identity: bool = False,
         xadt_access: str | None = None,
     ) -> None:
-        if len(exprs) != len(out_slots):
-            raise ExecutionError("projection arity mismatch")
         self.input = input_op
-        self.exprs = exprs
         self.tuple_fn = tuple_fn
         self.identity = identity
         self.xadt_access = xadt_access
@@ -745,19 +721,9 @@ class Project(Operator):
         if self.identity:
             yield from self.input.batches()
             return
-        tuple_fn = self.tuple_fn
-        if tuple_fn is not None:
-            batch_eval = getattr(tuple_fn, "batch_eval", None)
-            if batch_eval is not None:
-                for batch in self.input.batches():
-                    yield batch_eval(batch)
-            else:
-                for batch in self.input.batches():
-                    yield [tuple_fn(row) for row in batch]
-            return
-        exprs = self.exprs
+        batch_eval = self.tuple_fn.batch_eval
         for batch in self.input.batches():
-            yield [tuple(expr(row) for expr in exprs) for row in batch]
+            yield batch_eval(batch)
 
     def explain(self, depth: int = 0) -> list[str]:
         names = ", ".join(slot.name for slot in self.binding.slots)
@@ -1370,13 +1336,6 @@ def _exec_config_of(ctx):
     return getattr(ctx, "exec_config", None) or VECTORIZED
 
 
-def _compiler_of(ctx):
-    """The expression compiler this plan uses (generated vs tree-walking)."""
-    if _exec_config_of(ctx).compiled_expressions:
-        return compile_row_expr
-    return compile_expr
-
-
 def _xadt_label(config) -> str:
     """The XADT access-path label this config routes method calls to."""
     return "xindex" if config.xadt_structural_index else "scan"
@@ -1387,7 +1346,7 @@ def lower_select(
 ) -> Operator:
     """Lower a decided logical plan to the native operator tree."""
     config = _exec_config_of(ctx)
-    lowering = _SelectLowering(ctx, params, _compiler_of(ctx), _xadt_label(config))
+    lowering = _SelectLowering(ctx, params, _xadt_label(config))
     plan = lowering.lower(root)
     if config.batch_size != DEFAULT_BATCH_SIZE:
         pending = [plan]
@@ -1399,15 +1358,17 @@ def lower_select(
 
 
 class _SelectLowering:
-    """One lowering pass: carries context, params, and the compiler."""
+    """One lowering pass: carries context, params, and the XADT label."""
 
-    def __init__(self, ctx, params: ParamBox | None, compile_fn, xadt_label: str):
+    def __init__(self, ctx, params: ParamBox | None, xadt_label: str):
         self.ctx = ctx
         self.registry: FunctionRegistry = ctx.registry
         self.params = params
-        self.compile_fn = compile_fn
         self.xadt_label = xadt_label
         self.io = getattr(ctx, "io", None)
+
+    def compile(self, expr: Expr, binding: Binding) -> Compiled:
+        return compile_row_expr(expr, binding, self.registry, self.params)
 
     def lower(self, root: LogicalNode) -> Operator:
         # peel the output chain the optimizer stacked on top
@@ -1446,9 +1407,7 @@ class _SelectLowering:
             plan = self._lower_rel(node.input)
             filtered = Filter(
                 plan,
-                self.compile_fn(
-                    node.predicate, plan.binding, self.registry, self.params
-                ),
+                self.compile(node.predicate, plan.binding),
                 node.predicate.sql(),
                 xadt_access=xadt_access([node.predicate], self.xadt_label),
             )
@@ -1472,7 +1431,7 @@ class _SelectLowering:
             # literal keys probe directly; parameter keys resolve per execution
             key_value = key_expr.value if isinstance(key_expr, Literal) else None
             key_fn = (
-                self.compile_fn(key_expr, Binding([]), registry, self.params)
+                self.compile(key_expr, Binding([]))
                 if isinstance(key_expr, Parameter)
                 else None
             )
@@ -1483,7 +1442,7 @@ class _SelectLowering:
                 key=key_value,
                 key_fn=key_fn,
                 residual=(
-                    self.compile_fn(residual, binding, registry, self.params)
+                    self.compile(residual, binding)
                     if residual
                     else None
                 ),
@@ -1499,7 +1458,7 @@ class _SelectLowering:
             heap,
             ref.alias,
             predicate=(
-                self.compile_fn(predicate, binding, registry, self.params)
+                self.compile(predicate, binding)
                 if predicate
                 else None
             ),
@@ -1541,11 +1500,9 @@ class _SelectLowering:
                 join.index,
                 left_key_slot,
                 residual=(
-                    self.compile_fn(
+                    self.compile(
                         residual,
                         plan.binding.extend(table_binding(heap, ref.alias)),
-                        self.registry,
-                        self.params,
                     )
                     if residual
                     else None
@@ -1577,8 +1534,7 @@ class _SelectLowering:
         plan = self._lower_rel(node.input)
         function = self.registry.table_function(node.call.name)
         args = [
-            self.compile_fn(arg, plan.binding, self.registry, self.params)
-            for arg in node.call.args
+            self.compile(arg, plan.binding) for arg in node.call.args
         ]
         plan = LateralFunctionScan(
             plan,
@@ -1593,7 +1549,7 @@ class _SelectLowering:
         if predicate is not None:
             plan = Filter(
                 plan,
-                self.compile_fn(predicate, plan.binding, self.registry, self.params),
+                self.compile(predicate, plan.binding),
                 predicate.sql(),
                 xadt_access=xadt_access([predicate], self.xadt_label),
             )
@@ -1611,10 +1567,7 @@ class _SelectLowering:
         sort: LogicalSort | None,
         limit: int | None,
     ) -> Operator:
-        compile_fn = self.compile_fn
         registry = self.registry
-        params = self.params
-        needs_aggregate = aggregate is not None
         substitutions: dict[Expr, int] = {}
 
         if aggregate is not None:
@@ -1624,13 +1577,10 @@ class _SelectLowering:
                 aggregate_input, plan, aggregate.group_by, aggregate.aggregates
             )
             if aggregate.having is not None:
-                having = _compile_substituted(
-                    aggregate.having, substitutions, plan.binding, registry,
-                    params=params, compile_fn=compile_fn,
-                )
+                having = _substituted(aggregate.having, substitutions)
                 plan = Filter(
                     plan,
-                    having,
+                    self.compile(having, plan.binding),
                     aggregate.having.sql(),
                     xadt_access=xadt_access([aggregate.having], self.xadt_label),
                 )
@@ -1640,40 +1590,23 @@ class _SelectLowering:
         identity = False
         tuple_fn: Compiled | None = None
         if project.star:
-            out_slots = list(plan.binding.slots)
-            exprs: list[Compiled] = [
-                (lambda i: (lambda row: row[i]))(i) for i in range(len(out_slots))
-            ]
             projected_slots = [
-                Slot("", slot.name, slot.sql_type) for slot in out_slots
+                Slot("", slot.name, slot.sql_type) for slot in plan.binding.slots
             ]
             identity = True  # rows already have exactly this layout
         else:
-            exprs = []
-            projected_slots = []
-            for position, item in enumerate(select_items):
-                compiled = _compile_substituted(
-                    item.expr, substitutions, plan.binding, registry,
-                    allow_free_columns=not needs_aggregate,
-                    params=params,
-                    compile_fn=compile_fn,
-                )
-                exprs.append(compiled)
-                projected_slots.append(
-                    Slot("", output_name(item.expr, item.alias, position),
-                         infer_type(item.expr, plan.binding, registry))
-                )
-            if compile_fn is compile_row_expr and not substitutions:
-                # whole SELECT list as one generated closure (batch-evaluated)
-                try:
-                    tuple_fn = compile_projection(
-                        [item.expr for item in select_items],
-                        plan.binding,
-                        registry,
-                        params,
-                    )
-                except PlanError:  # pragma: no cover - per-item compile succeeded
-                    tuple_fn = None
+            projected_slots = [
+                Slot("", output_name(item.expr, item.alias, position),
+                     infer_type(item.expr, plan.binding, registry))
+                for position, item in enumerate(select_items)
+            ]
+            # whole SELECT list as one generated closure (batch-evaluated)
+            tuple_fn = compile_projection(
+                [_substituted(item.expr, substitutions) for item in select_items],
+                plan.binding,
+                registry,
+                self.params,
+            )
 
         # ORDER BY: try before projection (can see all columns + aggregates)
         pre_sort: Sort | None = None
@@ -1681,11 +1614,8 @@ class _SelectLowering:
         if sort is not None:
             try:
                 keys = [
-                    _compile_substituted(
-                        order.expr, substitutions, plan.binding, registry,
-                        allow_free_columns=not needs_aggregate,
-                        params=params,
-                        compile_fn=compile_fn,
+                    self.compile(
+                        _substituted(order.expr, substitutions), plan.binding
                     )
                     for order in sort.order_by
                 ]
@@ -1720,7 +1650,6 @@ class _SelectLowering:
         else:
             projected = Project(
                 plan,
-                exprs,
                 projected_slots,
                 tuple_fn=tuple_fn,
                 identity=identity,
@@ -1754,13 +1683,10 @@ class _SelectLowering:
     def _lower_aggregate(
         self, plan: Operator, aggregate: LogicalAggregate
     ) -> tuple[Operator, dict[Expr, int]]:
-        compile_fn = self.compile_fn
         registry = self.registry
-        params = self.params
         group_exprs_ast = list(aggregate.group_by)
         group_compiled = [
-            compile_fn(expr, plan.binding, registry, params)
-            for expr in group_exprs_ast
+            self.compile(expr, plan.binding) for expr in group_exprs_ast
         ]
         group_slots = []
         for position, expr in enumerate(group_exprs_ast):
@@ -1782,7 +1708,7 @@ class _SelectLowering:
             else:
                 if len(call.args) != 1:
                     raise PlanError(f"{call.name}() takes exactly one argument")
-                arg = compile_fn(call.args[0], plan.binding, registry, params)
+                arg = self.compile(call.args[0], plan.binding)
             agg_specs.append(AggSpec(kind, arg, call.distinct))
             result_type: SqlType = INTEGER if kind in ("count", "sum") else VARCHAR
             if (
@@ -1847,100 +1773,19 @@ def _maybe_push_partial_agg(
     return source
 
 
-def _compile_substituted(
-    expr: Expr,
-    substitutions: dict[Expr, int],
-    binding: Binding,
-    registry: FunctionRegistry,
-    allow_free_columns: bool = False,
-    params: ParamBox | None = None,
-    compile_fn=None,
-) -> Compiled:
-    if compile_fn is None:
-        compile_fn = compile_expr
+def _substituted(expr: Expr, substitutions: dict[Expr, int]) -> Expr:
+    """``expr`` over an aggregate's output: group keys and aggregates
+    become :class:`SlotRef` placeholders; any other column is an error."""
     if not substitutions:
-        return compile_fn(expr, binding, registry, params)
+        return expr
     rebuilt = rebuild_with_slots(expr, substitutions)
     if rebuilt is None:
         raise PlanError(f"cannot plan expression {expr.sql()!r}")
-    if not allow_free_columns:
-        for ref in rebuilt.column_refs():
-            raise PlanError(
-                f"column {ref.sql()!r} must appear in GROUP BY or inside an aggregate"
-            )
-    return _compile_tree(rebuilt, binding, registry, params)
-
-
-def _compile_tree(
-    expr: Expr,
-    binding: Binding,
-    registry: FunctionRegistry,
-    params: ParamBox | None = None,
-) -> Compiled:
-    """compile_expr extended with SlotRef support, applied recursively."""
-    if isinstance(expr, SlotRef):
-        index = expr.index
-        return lambda row: row[index]
-    if isinstance(expr, FuncCall) and not expr.is_aggregate():
-        parts = [_compile_tree(arg, binding, registry, params) for arg in expr.args]
-        name = expr.name
-        return lambda row: registry.call_scalar(name, [part(row) for part in parts])
-    if contains_slot_ref(expr):
-        # decompose one level and recurse
-        if isinstance(expr, Comparison):
-            left = _compile_tree(expr.left, binding, registry, params)
-            right = _compile_tree(expr.right, binding, registry, params)
-            op = expr.op
-            from repro.engine import values as value_ops
-
-            return lambda row: value_ops.compare(op, left(row), right(row))
-        if isinstance(expr, And):
-            parts = [
-                _compile_tree(item, binding, registry, params)
-                for item in expr.items
-            ]
-            return lambda row: all(part(row) for part in parts)
-        if isinstance(expr, Or):
-            parts = [
-                _compile_tree(item, binding, registry, params)
-                for item in expr.items
-            ]
-            return lambda row: any(part(row) for part in parts)
-        if isinstance(expr, Like):
-            operand = _compile_tree(expr.operand, binding, registry, params)
-            from repro.engine import values as value_ops
-
-            pattern = expr.pattern
-            negated = expr.negated
-            if negated:
-                return lambda row: (
-                    operand(row) is not None
-                    and not value_ops.like(operand(row), pattern)
-                )
-            return lambda row: value_ops.like(operand(row), pattern)
-        if isinstance(expr, Not):
-            operand = _compile_tree(expr.operand, binding, registry, params)
-            return lambda row: not operand(row)
-        if isinstance(expr, Arithmetic):
-            left = _compile_tree(expr.left, binding, registry, params)
-            right = _compile_tree(expr.right, binding, registry, params)
-            op = expr.op
-
-            def arith(row: tuple) -> object:
-                lv, rv = left(row), right(row)
-                if lv is None or rv is None:
-                    return None
-                if op == "+":
-                    return lv + rv
-                if op == "-":
-                    return lv - rv
-                if op == "*":
-                    return lv * rv
-                return lv / rv
-
-            return arith
-        raise PlanError(f"cannot compile substituted expression {expr.sql()!r}")
-    return compile_expr(expr, binding, registry, params)
+    for ref in rebuilt.column_refs():
+        raise PlanError(
+            f"column {ref.sql()!r} must appear in GROUP BY or inside an aggregate"
+        )
+    return rebuilt
 
 
 __all__ = [

@@ -146,9 +146,25 @@ def _apply(db: "Database", record: dict) -> None:
     elif kind == "runstats":
         db.runstats(record["table"])
     elif kind == "exec_config":
-        db.set_exec_config(ExecutionConfig(**record["config"]))
+        db.set_exec_config(_decode_exec_config(record["config"]))
     else:
         raise RecoveryError(f"unknown WAL record type {kind!r}")
+
+
+#: ExecutionConfig fields that logs written by older engines still carry;
+#: both knobs are gone (expressions always compile, scans always prune)
+RETIRED_CONFIG_KEYS = frozenset({"compiled_expressions", "scan_pushdown"})
+
+
+def _decode_exec_config(payload: dict) -> ExecutionConfig:
+    """The logged config minus retired keys.
+
+    Any other unknown key raises TypeError, which replay reports as a
+    RecoveryError.
+    """
+    return ExecutionConfig(
+        **{k: v for k, v in payload.items() if k not in RETIRED_CONFIG_KEYS}
+    )
 
 
 def _decode_partition(payload: dict | None) -> "PartitionSpec | None":

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.difftest.runner import canonical_rows
 from repro.engine import Database
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 
 
 @pytest.fixture()
@@ -110,6 +111,73 @@ class TestGroupBy:
             "SELECT author, COUNT(*) FROM papers GROUP BY author"
         )
         assert dict(result.rows)[None] == 2
+
+
+class TestPostAggregateExpressions:
+    """Expressions over aggregates (SELECT list and HAVING) evaluate with
+    the same NULL, floor-division and typed-error rules as any other
+    expression."""
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            (
+                "SELECT author, COUNT(*) / 2 FROM papers GROUP BY author",
+                [("Bird", 0), ("Codd", 1), ("Gray", 1)],
+            ),
+            (
+                "SELECT author FROM papers GROUP BY author "
+                "HAVING COUNT(*) / 2 = 1",
+                [("Codd",), ("Gray",)],
+            ),
+            ("SELECT COUNT(*) / 4 FROM papers", [(1,)]),
+        ],
+    )
+    def test_division_of_aggregate_floors(self, db, sql, expected):
+        # sqlite truncates instead of flooring, so '/' has no mirror
+        rows = db.execute(sql).rows
+        assert sorted(rows) == expected
+        assert all(type(row[-1]) is type(expected[0][-1]) for row in rows)
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            (
+                "SELECT author, -COUNT(*) FROM papers GROUP BY author",
+                [("Bird", -1), ("Codd", -3), ("Gray", -2)],
+            ),
+            (
+                "SELECT author FROM papers GROUP BY author "
+                "HAVING -COUNT(*) < -1",
+                [("Codd",), ("Gray",)],
+            ),
+            (
+                "SELECT author FROM papers GROUP BY author "
+                "HAVING MAX(pages) IS NULL",
+                [("Bird",)],
+            ),
+            (
+                "SELECT author, MAX(pages) IS NOT NULL FROM papers "
+                "GROUP BY author HAVING MAX(pages) IS NOT NULL",
+                [("Codd", True), ("Gray", True)],
+            ),
+            (
+                "SELECT author, MAX(pages) + 1, SUM(pages) * 2 - 1 "
+                "FROM papers GROUP BY author",
+                [("Bird", None, None), ("Codd", 13, 59), ("Gray", 21, 51)],
+            ),
+        ],
+    )
+    def test_matches_sqlite(self, db, sql, expected):
+        native = db.execute(sql).rows
+        assert sorted(native, key=repr) == sorted(expected, key=repr)
+        assert canonical_rows(native) == canonical_rows(
+            db.execute(sql, backend="sqlite").rows
+        )
+
+    def test_arithmetic_on_text_aggregate_is_typed_error(self, db):
+        with pytest.raises(ExecutionError, match="arithmetic failed"):
+            db.execute("SELECT section, MAX(author) + 1 FROM papers GROUP BY section")
 
 
 class TestAggregateErrors:

@@ -77,6 +77,23 @@ class TestInsertStatement:
         db.execute("INSERT INTO t VALUES (NULL)")
         assert db.execute("SELECT a FROM t").scalar() is None
 
+    def test_insert_mixes_literals_parameters_and_expressions(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, b VARCHAR, c INTEGER)")
+        db.execute(
+            "INSERT INTO t (c, a, b) VALUES (2 * 3, 1, ?), (-4, ?, 'y'), "
+            "(7 / 2, length('abc'), 'z')",
+            ("x", 2),
+        )
+        assert db.execute("SELECT a, b, c FROM t").rows == [
+            (1, "x", 6), (2, "y", -4), (3, "z", 3),
+        ]
+
+    def test_insert_expression_error_inserts_nothing(self, db):
+        db.execute("CREATE TABLE t (a INTEGER)")
+        with pytest.raises(ExecutionError):
+            db.execute("INSERT INTO t VALUES (1), (1 / 0)")
+        assert db.row_count("t") == 0
+
 
 class TestResult:
     def test_scalar_requires_1x1(self):

@@ -16,9 +16,9 @@ from repro.engine.expr import (
     Or,
     Slot,
     and_together,
-    compile_expr,
     conjuncts_of,
 )
+from repro.engine.expr_compile import compile_row_expr
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR
 from repro.engine.udf import FunctionRegistry
@@ -93,7 +93,7 @@ class TestConjuncts:
 
 class TestCompilation:
     def run(self, text, binding, registry, row):
-        return compile_expr(parse_expression(text), binding, registry)(row)
+        return compile_row_expr(parse_expression(text), binding, registry)(row)
 
     def test_comparison(self, binding, registry):
         assert self.run("t.a < 5", binding, registry, (3, "x", 9, "y"))
@@ -126,7 +126,7 @@ class TestCompilation:
 
     def test_negate_text_raises(self, binding, registry):
         with pytest.raises(ExecutionError):
-            compile_expr(
+            compile_row_expr(
                 Negate(ColumnRef("t", "b")), binding, registry
             )((1, "text", 2, ""))
 
@@ -146,11 +146,11 @@ class TestCompilation:
         from repro.engine.expr import Star
 
         with pytest.raises(PlanError):
-            compile_expr(Star(), binding, registry)
+            compile_row_expr(Star(), binding, registry)
 
     def test_bare_aggregate_rejected(self, binding, registry):
         with pytest.raises(PlanError):
-            compile_expr(
+            compile_row_expr(
                 FuncCall("count", (ColumnRef("t", "a"),)), binding, registry
             )
 

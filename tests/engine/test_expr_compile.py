@@ -1,11 +1,12 @@
-"""The codegen expression compiler must agree with the interpreter.
+"""The expression compiler: NULL logic, LIKE, parameters, arithmetic.
 
-``compile_row_expr`` lowers an Expr tree into one generated closure;
-``compile_expr`` walks the same tree with per-node closures.  Every test
-here pins the two implementations together — NULL three-valued logic,
-LIKE pattern translation, parameter rebinding, arithmetic — because the
-vectorized engine switches between them via ``ExecutionConfig`` and the
-result sets must be indistinguishable.
+``compile_row_expr`` lowers an Expr tree into one generated closure with
+``batch_filter``/``batch_eval`` companions; it is the engine's only
+expression evaluator.  Point tests pin literal expected values (and that
+the batch companions agree with the row closure); the randomized sweep
+runs the same templates over a table natively and through the SQLite
+backend, whose translation spells out the engine's semantics
+independently.
 """
 
 import random
@@ -13,7 +14,8 @@ import random
 import pytest
 
 from repro.engine import Database
-from repro.engine.expr import Binding, ParamBox, Slot, compile_expr
+from repro.difftest.runner import canonical_rows
+from repro.engine.expr import Binding, ParamBox, Slot
 from repro.engine.expr_compile import compile_projection, compile_row_expr
 from repro.engine.sql.parser import parse_expression
 from repro.engine.types import INTEGER, VARCHAR
@@ -37,14 +39,11 @@ def registry():
 
 
 def both(text, binding, registry, row, params=None):
-    """Evaluate ``text`` compiled and interpreted; assert agreement."""
-    expr = parse_expression(text)
-    generated = compile_row_expr(expr, binding, registry, params)
-    interpreted = compile_expr(expr, binding, registry, params)
-    got = generated(row)
-    assert got == interpreted(row), (
-        f"{text!r} on {row}: compiled {got!r} != interpreted "
-        f"{interpreted(row)!r} (source: {generated.source})"
+    """Evaluate ``text`` per row and per batch; assert the two agree."""
+    fn = compile_row_expr(parse_expression(text), binding, registry, params)
+    got = fn(row)
+    assert fn.batch_eval([row]) == [got], (
+        f"{text!r} on {row}: batch_eval disagrees (source: {fn.source})"
     )
     return got
 
@@ -68,9 +67,9 @@ class TestNullThreeValuedLogic:
         assert both("a IS NULL", binding, registry, (0, 1, "x", "y")) is False
 
     def test_not_of_null_comparison(self, binding, registry):
-        # NOT(UNKNOWN) stays filtered-out-equivalent in both engines
-        assert both("NOT (a = 1)", binding, registry, (None, 1, "x", "y")) == \
-            both("NOT (a = 1)", binding, registry, (None, 1, "x", "y"))
+        # the engine's NOT is two-valued: a NULL comparison is false, so
+        # its negation is true (the SQLite backend folds NULL the same way)
+        assert both("NOT (a = 1)", binding, registry, (None, 1, "x", "y")) is True
 
     def test_and_or_with_null_operand(self, binding, registry):
         row = (None, 2, "x", "y")
@@ -151,8 +150,8 @@ class TestParameters:
 class TestArithmetic:
     def test_integer_division_truncates(self, binding, registry):
         assert both("a / b", binding, registry, (7, 2, "x", "y")) == 3
-        assert both("a / b", binding, registry, (-7, 2, "x", "y")) == \
-            both("a / b", binding, registry, (-7, 2, "x", "y"))
+        # int/int division floors (sqlite would truncate to -3)
+        assert both("a / b", binding, registry, (-7, 2, "x", "y")) == -4
 
     def test_null_propagates(self, binding, registry):
         for text in ("a + b", "a - b", "a * b", "a / b", "-a"):
@@ -195,32 +194,50 @@ def _random_row(rng):
     )
 
 
+def _random_table(seed, count):
+    """A database holding ``count`` random rows in ``t(id, a, b, s, u)``."""
+    rng = random.Random(seed)
+    rows = [_random_row(rng) for _ in range(count)]
+    db = Database("agreement")
+    db.execute(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, "
+        "s VARCHAR, u VARCHAR)"
+    )
+    db.bulk_insert("t", [(i,) + row for i, row in enumerate(rows)])
+    return db, rows
+
+
+def _native_and_sqlite(db, sql):
+    native = canonical_rows(db.execute(sql).rows)
+    assert native == canonical_rows(db.execute(sql, backend="sqlite").rows), sql
+    return native
+
+
 class TestRandomizedAgreement:
-    def test_compiled_matches_interpreted(self, binding, registry):
-        rng = random.Random(20260806)
-        rows = [_random_row(rng) for _ in range(300)]
+    def test_native_matches_sqlite(self, binding, registry):
+        db, rows = _random_table(20260806, 300)
         for text in TEMPLATES:
-            expr = parse_expression(text)
-            generated = compile_row_expr(expr, binding, registry)
-            interpreted = compile_expr(expr, binding, registry)
-            for row in rows:
-                assert generated(row) == interpreted(row), (text, row)
+            kept_ids = _native_and_sqlite(db, f"SELECT id FROM t WHERE {text}")
+            fn = compile_row_expr(parse_expression(text), binding, registry)
+            # the row closure keeps exactly the rows the query returned
+            assert kept_ids == canonical_rows(
+                (i,) for i, row in enumerate(rows) if fn(row)
+            ), text
             # the batch companions must agree with the row loop
-            kept = [row for row in rows if interpreted(row)]
-            assert generated.batch_filter(rows) == kept
-            assert generated.batch_eval(rows) == [
-                generated(row) for row in rows
-            ]
+            assert fn.batch_filter(rows) == [row for row in rows if fn(row)]
+            assert fn.batch_eval(rows) == [fn(row) for row in rows]
 
     def test_projection_matches_per_row_tuples(self, binding, registry):
-        rng = random.Random(7)
-        rows = [_random_row(rng) for _ in range(100)]
-        exprs = [parse_expression(t) for t in ("a + b", "s", "a * 2")]
+        db, rows = _random_table(7, 100)
+        texts = ("a + b", "s", "a * 2", "-a", "b - a")
+        expected = _native_and_sqlite(
+            db, f"SELECT {', '.join(texts)} FROM t"
+        )
+        exprs = [parse_expression(t) for t in texts]
         projection = compile_projection(exprs, binding, registry)
-        parts = [compile_expr(e, binding, registry) for e in exprs]
-        expected = [tuple(part(row) for part in parts) for row in rows]
-        assert [projection(row) for row in rows] == expected
-        assert projection.batch_eval(rows) == expected
+        per_row = [projection(row) for row in rows]
+        assert canonical_rows(per_row) == expected
+        assert projection.batch_eval(rows) == per_row
 
     def test_single_column_projection_stays_a_tuple(self, binding, registry):
         projection = compile_projection(

@@ -82,11 +82,12 @@ class TestBinding:
             db.execute("SELECT speechID FROM speech WHERE code = ?")
 
     def test_marker_in_plain_expression_context_rejected(self, db):
-        from repro.engine.expr import Binding, compile_expr, Parameter
+        from repro.engine.expr import Binding, Parameter
+        from repro.engine.expr_compile import compile_row_expr
         from repro.engine.udf import FunctionRegistry
 
         with pytest.raises(PlanError, match="prepared statement"):
-            compile_expr(Parameter(0), Binding([]), FunctionRegistry())
+            compile_row_expr(Parameter(0), Binding([]), FunctionRegistry())
 
 
 class TestPreparedPath:

@@ -1,10 +1,14 @@
 """Crash recovery: WAL replay rebuilds the last committed state."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.engine.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.recovery import RETIRED_CONFIG_KEYS
 from repro.errors import CrashPoint, RecoveryError
 from repro.xadt import XadtValue, register_xadt_functions
 
@@ -23,6 +27,17 @@ def load(db, lo, hi, marker=None):
     rows = [(i, i % 5, f"name{i % 3}") for i in range(lo, hi)]
     with db.transaction(marker=marker):
         db.bulk_insert("t", rows)
+
+
+def _rewrite_exec_config(source, target, extra):
+    """Copy the WAL at ``source`` with ``extra`` keys in its config records."""
+    with open(source, encoding="utf-8") as reader:
+        records = [json.loads(line) for line in reader if line.strip()]
+    with open(target, "w", encoding="utf-8") as writer:
+        for record in records:
+            if record["type"] == "exec_config":
+                record["config"].update(extra)
+            writer.write(json.dumps(record) + "\n")
 
 
 def fingerprint(db):
@@ -62,6 +77,24 @@ class TestCleanRecovery:
         db.close()
         recovered = Database.open(path, recover=True)
         assert recovered.exec_config.batch_size == 7
+
+        # a log written before two config knobs were retired still carries
+        # them; replay drops exactly those keys ...
+        legacy = str(tmp_path / "legacy.jsonl")
+        _rewrite_exec_config(
+            path, legacy, {key: False for key in RETIRED_CONFIG_KEYS}
+        )
+        current = {f.name for f in fields(ExecutionConfig)}
+        assert len(RETIRED_CONFIG_KEYS) == 2
+        assert not RETIRED_CONFIG_KEYS & current
+        recovered = Database.open(legacy, recover=True)
+        assert recovered.exec_config == ExecutionConfig(batch_size=7)
+
+        # ... and any other unknown key still fails replay, typed
+        unknown = str(tmp_path / "unknown.jsonl")
+        _rewrite_exec_config(path, unknown, {"vector_width": 4})
+        with pytest.raises(RecoveryError, match="vector_width"):
+            Database.open(unknown, recover=True)
 
     def test_xadt_rows_survive_recovery(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")

@@ -1,22 +1,20 @@
 """Vectorized execution: batch shapes, pushdown, config, and parity.
 
-The batch layer must be invisible except in speed: result sets match the
-row-at-a-time engine on the full paper workloads, EXPLAIN ANALYZE still
-reports *row* counts, and flipping :class:`ExecutionConfig` invalidates
-cached plans (which bake in batch sizes and compiled closures).
+The batch layer must be invisible except in speed: result sets match
+one-row batches (``batch_size=1``) on the full paper workloads, EXPLAIN
+ANALYZE still reports *row* counts, and flipping :class:`ExecutionConfig`
+invalidates cached plans (which bake in batch sizes).
 """
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.config import (
-    DEFAULT_BATCH_SIZE,
-    ExecutionConfig,
-    ROW_AT_A_TIME,
-    VECTORIZED,
-)
+from repro.engine.config import DEFAULT_BATCH_SIZE, VECTORIZED, ExecutionConfig
 from repro.engine.values import render
 from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
+
+#: the row-at-a-time baseline: one row per batch, same compiler and plan
+ONE_ROW_BATCHES = ExecutionConfig(batch_size=1)
 
 
 @pytest.fixture()
@@ -78,15 +76,10 @@ class TestProjectionPushdown:
         text = db.explain("SELECT * FROM items")
         assert "cols[" not in text
 
-    def test_pushdown_disabled_by_config(self, db):
-        db.set_exec_config(ExecutionConfig(scan_pushdown=False))
-        text = db.explain("SELECT id FROM items WHERE grp = 3")
-        assert "cols[" not in text
-
     def test_pruned_scan_returns_same_rows(self, db):
         sql = "SELECT name FROM items WHERE grp = 3 AND id < 100"
         vectorized = db.execute(sql)
-        db.set_exec_config(ROW_AT_A_TIME)
+        db.set_exec_config(ONE_ROW_BATCHES)
         try:
             baseline = db.execute(sql)
         finally:
@@ -101,7 +94,7 @@ class TestConfigEpoch:
         db.execute(sql)
         hits_before = db.plan_cache.stats.hits
         assert hits_before >= 1
-        db.set_exec_config(ROW_AT_A_TIME)
+        db.set_exec_config(ONE_ROW_BATCHES)
         try:
             db.execute(sql)
         finally:
@@ -110,9 +103,12 @@ class TestConfigEpoch:
         assert db.plan_cache.stats.hits == hits_before
 
     def test_exec_config_constructor_argument(self):
-        database = Database("cfg", exec_config=ROW_AT_A_TIME)
-        assert database.exec_config.batch_size == 1
-        assert not database.exec_config.compiled_expressions
+        database = Database("cfg", exec_config=ONE_ROW_BATCHES)
+        assert database.exec_config.as_dict() == {
+            "batch_size": 1,
+            "xadt_structural_index": False,
+            "parallel_workers": 0,
+        }
 
 
 class TestExplainAnalyzeRowActuals:
@@ -143,19 +139,19 @@ def _canonical(rows):
 def _assert_modes_agree(loaded, sql, key):
     db = loaded.db
     vectorized = db.execute(sql)
-    db.set_exec_config(ROW_AT_A_TIME)
+    db.set_exec_config(ONE_ROW_BATCHES)
     try:
         baseline = db.execute(sql)
     finally:
         db.set_exec_config(VECTORIZED)
     assert _canonical(vectorized) == _canonical(baseline), (
-        f"{key}: vectorized and row-at-a-time result sets differ"
+        f"{key}: default and one-row batches return different result sets"
     )
 
 
 class TestWorkloadParity:
-    """Compiled + batched execution matches interpreted row-at-a-time
-    on every Figure 11 and Figure 13 query, both schemas."""
+    """Default batches match one-row batches on every Figure 11 and
+    Figure 13 query, both schemas."""
 
     @pytest.mark.parametrize("query", SHAKESPEARE_QUERIES,
                              ids=lambda q: q.key)
