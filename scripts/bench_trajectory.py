@@ -15,8 +15,9 @@ XORator wins, as the paper reports for all but QS6/QG6-style queries).
 ``BENCH_qs6.json`` records the QS6 order-access sweep: per Figure 11
 scale, the per-call cost of the QS6-style XADT accesses (``getElmIndex``
 ordinal, ``findKeyInElm`` keyword, ``getElm`` keyword slice) over the
-XORator prologue fragments, tag scan vs the structural index, with the
-speedup ratio (see ``benchmarks/bench_qs6_order_access.py`` for the
+XORator prologue fragments recoded to the ``plain`` codec (tag scan) and
+the ``indexed`` codec (span directory carried by the value), with the
+stored bytes per fragment under each codec and the speedup ratio (see ``benchmarks/bench_qs6_order_access.py`` for the
 gated version and the ``lines_per_speech=14`` rationale).
 
 A third artifact, ``BENCH_concurrency.json``, records the reader-scaling
@@ -78,8 +79,6 @@ from repro.workloads import SHAKESPEARE_QUERIES, SIGMOD_QUERIES
 from repro.workloads import shakespeare_queries
 from repro.xadt import methods
 from repro.xadt.decode_cache import DECODE_CACHE
-from repro.xadt.register import enable_structural_indexes
-from repro.xadt.structural_index import XINDEX, routing
 
 FIGURES = {
     "fig11": ("shakespeare", SHAKESPEARE_QUERIES),
@@ -127,7 +126,7 @@ def sweep(figure: str, scales: list[int], rounds: int) -> dict:
     }
 
 
-#: the QS6-style access kinds the structural index serves
+#: the QS6-style access kinds the indexed codec's directory serves
 QS6_ACCESS = (
     ("ordinal", lambda f: methods.get_elm_index(f, "", "LINE", 2, 2)),
     ("keyword", lambda f: methods.find_key_in_elm(f, "LINE", "love")),
@@ -135,19 +134,18 @@ QS6_ACCESS = (
 )
 
 
-def _median_access_pass(fn, fragments, routed: bool, rounds: int) -> float:
+def _median_access_pass(fn, fragments, rounds: int) -> float:
     times = []
     for _ in range(rounds):
-        with routing(routed):
-            started = time.perf_counter()
-            for fragment in fragments:
-                fn(fragment)
-            times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        for fragment in fragments:
+            fn(fragment)
+        times.append(time.perf_counter() - started)
     return statistics.median(times) / len(fragments)
 
 
 def qs6_sweep(scales: list[int], rounds: int) -> dict:
-    """Indexed-vs-scan per-call cost of QS6's order accesses per scale."""
+    """Indexed-vs-plain per-call cost of QS6's order accesses per scale."""
     results: dict[str, dict] = {}
     for scale in scales:
         config = replace(BASE_SHAKESPEARE.scaled(scale), lines_per_speech=14)
@@ -158,44 +156,44 @@ def qs6_sweep(scales: list[int], rounds: int) -> dict:
             shakespeare_queries.workload_sql("xorator"),
             sample_for_codecs=4,
         )
-        db = loaded.db
-        enable_structural_indexes(db)
-        fragments = [
-            row[0]
-            for row in db.execute(
-                "SELECT speech_line FROM speech "
-                "WHERE speech_parentCODE = 'PROLOGUE'"
-            ).rows
-        ]
+        rows = loaded.db.execute(
+            "SELECT speech_line FROM speech "
+            "WHERE speech_parentCODE = 'PROLOGUE'"
+        ).rows
+        plain = [row[0].recode("plain") for row in rows]
+        indexed = [row[0].recode("indexed") for row in rows]
         cell: dict[str, object] = {
-            "fragments": len(fragments),
+            "fragments": len(plain),
             "median_fragment_bytes": statistics.median(
-                fragment.byte_size() for fragment in fragments
+                fragment.byte_size() for fragment in plain
+            ),
+            # byte_size() charges (and builds) the directory once per value
+            "median_indexed_fragment_bytes": statistics.median(
+                fragment.byte_size() for fragment in indexed
             ),
         }
         DECODE_CACHE.enabled = False
         try:
             for name, fn in QS6_ACCESS:
-                scan_s = _median_access_pass(fn, fragments, False, rounds)
-                index_s = _median_access_pass(fn, fragments, True, rounds)
+                plain_s = _median_access_pass(fn, plain, rounds)
+                index_s = _median_access_pass(fn, indexed, rounds)
                 cell[name] = {
-                    "scan_seconds_per_call": round(scan_s, 9),
-                    "xindex_seconds_per_call": round(index_s, 9),
-                    "speedup": round(scan_s / index_s, 2) if index_s else None,
+                    "plain_seconds_per_call": round(plain_s, 9),
+                    "indexed_seconds_per_call": round(index_s, 9),
+                    "speedup": round(plain_s / index_s, 2) if index_s else None,
                 }
         finally:
             DECODE_CACHE.enabled = True
             DECODE_CACHE.clear()
-        XINDEX.clear()
         results[str(scale)] = cell
-        print(f"qs6: scale x{scale} done ({len(fragments)} fragments)")
+        print(f"qs6: scale x{scale} done ({len(plain)} fragments)")
     return {
         "figure": "qs6_order_access",
         "dataset": "shakespeare (lines_per_speech=14, paper-sized prologues)",
         "scales": scales,
         "rounds": rounds,
-        "metric": "median per-call seconds, tag scan vs structural index "
-                  "(decode cache off)",
+        "metric": "median per-call seconds, plain codec (tag scan) vs "
+                  "indexed codec (span directory), decode cache off",
         "engine_config": ExecutionConfig().as_dict(),
         "access": results,
     }

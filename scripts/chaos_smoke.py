@@ -1,7 +1,7 @@
 """CI chaos smoke: crash the engine at WAL sites, recover, check parity.
 
-For each of four named fault sites (``wal.append``, ``heap.store_row``,
-``index.publish``, ``xadt.index_build``) this script
+For each of three named fault sites (``wal.append``, ``heap.store_row``,
+``index.publish``) this script
 
 1. starts a WAL-backed database (``sync_mode="always"``) and bulk-loads
    a small Shakespeare XORator corpus with one marked transaction per
@@ -13,6 +13,11 @@ For each of four named fault sites (``wal.append``, ``heap.store_row``,
    interrupted load from the recovery markers, and
 4. asserts the Figure 11 query results are identical to an
    uninterrupted reference load.
+
+A fourth stage repeats the crash with every XADT column loaded under
+the ``indexed`` codec, whose span directory travels inside each value:
+the recovered values must carry it again and answer byte-identically to
+the chooser-codec reference.
 
 Usage::
 
@@ -39,11 +44,10 @@ from repro.engine.database import Database  # noqa: E402
 from repro.engine.faults import FAULTS, FaultPlan  # noqa: E402
 from repro.errors import CrashPoint  # noqa: E402
 from repro.mapping import map_xorator  # noqa: E402
+from repro.mapping.base import ColumnKind  # noqa: E402
 from repro.shred import decide_codecs, load_documents  # noqa: E402
 from repro.workloads.shakespeare_queries import workload_sql  # noqa: E402
 from repro.xadt import register_xadt_functions  # noqa: E402
-from repro.xadt.register import enable_structural_indexes  # noqa: E402
-from repro.xadt.structural_index import XINDEX  # noqa: E402
 
 #: (site, 1-based hit at which the process "dies") — hits are chosen to
 #: land mid-load: after some documents committed, before the last one
@@ -116,7 +120,7 @@ def main() -> None:
                 f"torn_tail={report.torn_tail}, Fig11 parity holds"
             )
 
-    xindex_stage(schema, documents, codecs, queries, expected)
+    indexed_codec_stage(schema, documents, queries, expected)
     worker_crash_stage(schema, documents, codecs, queries, expected)
     server_stage(schema, documents, codecs, queries, expected)
 
@@ -125,22 +129,26 @@ def main() -> None:
     )
 
 
-def xindex_stage(schema, documents, codecs, queries, expected) -> None:
-    """Crash mid structural-index build, recover, check byte parity.
+def indexed_codec_stage(schema, documents, queries, expected) -> None:
+    """Crash an ``indexed``-codec load, recover, check byte parity.
 
-    With structural indexes enabled, every fragment insert passes the
-    ``xadt.index_build`` fault site before the heap mutation.  A crash
-    there must leave nothing visible (the build is staged until the
-    commit publishes), and after WAL recovery + resumed load the
-    rebuilt indexes must serve **byte-identical** query results to the
-    scan-mode reference fingerprint.
+    The directory is part of the value, not a separate index: the WAL
+    logs the payload and codec, recovery rebuilds the values, and each
+    rebuilt value builds its directory again on first use.  After WAL
+    recovery + resumed load the results must be **byte-identical** to
+    the chooser-codec reference fingerprint.
     """
-    site, hit = "xadt.index_build", 40
+    codecs = {
+        f"{table.name}.{column.name}": "indexed"
+        for table in schema.tables
+        for column in table.columns
+        if column.kind is ColumnKind.XADT
+    }
+    site, hit = "heap.store_row", 40
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "wal.jsonl")
         db = Database.open(path, sync_mode="always")
         register_xadt_functions(db)
-        enable_structural_indexes(db)
         FAULTS.install(FaultPlan(seed=hit).crash_at(site, hit=hit))
         crashed = False
         try:
@@ -151,28 +159,32 @@ def xindex_stage(schema, documents, codecs, queries, expected) -> None:
             FAULTS.clear()
         assert crashed, f"{site}: the crash plan never fired (hit={hit})"
         db.wal.abandon()
-        # the store is in-process state: a real crash loses it entirely
-        XINDEX.clear()
 
         recovered = Database.open(path, recover=True)
         register_xadt_functions(recovered)
-        enable_structural_indexes(recovered)
         report = recovered.recovery_report
         load_documents(
             recovered, schema, documents, codecs,
             resume_markers=report.markers,
         )
         recovered.runstats()
-        assert len(XINDEX) > 0, f"{site}: no indexes republished after recovery"
+        stored = [
+            cell
+            for row in recovered.heap("speech").scan()
+            for cell in row
+            if getattr(cell, "__xadt__", False)
+        ]
+        assert stored and all(cell.codec == "indexed" for cell in stored), (
+            f"{site}: recovered XADT cells lost the indexed codec"
+        )
         actual = fingerprint(recovered, queries)
         assert actual == expected, f"{site}: query mismatch after recovery"
         recovered.close()
-        XINDEX.clear()
         print(
-            f"ok {site:16} crash at hit {hit}: "
+            f"ok {'indexed codec':16} crash at {site} hit {hit}: "
             f"{len(report.markers)} committed document txn(s), "
             f"{report.records_replayed} records replayed, indexed results "
-            f"byte-identical to the scan-mode reference"
+            f"byte-identical to the chooser-codec reference"
         )
 
 

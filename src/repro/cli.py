@@ -34,8 +34,6 @@ commands (interactive or piped):
   governor's database-wide limits (``timeout`` seconds, ``rows``,
   ``bytes``, ``memory``) and its abort counts;
 * ``\\wal`` — write-ahead-log status (or "disabled" in volatile mode);
-* ``\\xindex`` — XADT structural-index store status (per-column stats,
-  build/hit/miss counters);
 * ``\\partitions`` — partitioned-table layout (per-partition row and
   byte extents) and the parallel worker pool's state;
 * ``\\backends [sql]`` — list execution backends, or show the SQL the
@@ -114,8 +112,6 @@ class Shell:
                 self._run_governor(line[len("\\governor"):].strip())
             elif line == "\\wal":
                 self._print_wal()
-            elif line == "\\xindex":
-                self._print_xindex()
             elif line == "\\partitions":
                 self._print_partitions()
             elif line == "\\backends" or line.startswith("\\backends "):
@@ -129,7 +125,7 @@ class Shell:
                             f"\\d, \\explain, \\analyze, \\path, \\io, "
                             f"\\cache, \\sessions, \\metrics, \\statements, "
                             f"\\waits, \\slowlog, \\trace, \\governor, "
-                            f"\\wal, \\xindex, \\partitions, \\backends, "
+                            f"\\wal, \\partitions, \\backends, "
                             f"\\difftest, \\server, \\q")
             else:
                 self._run_sql(line)
@@ -458,37 +454,6 @@ class Shell:
             f"{report['records']} records, {report['commits']} commits, "
             f"{report['fsyncs']} fsyncs, {report['buffered_bytes']} bytes "
             f"buffered"
-        )
-
-    def _print_xindex(self) -> None:
-        report = self.db.size_report()["xadt_structural_index"]
-        state = "on" if report["active"] else "off"
-        self._print(
-            f"structural index ({state}): {report['fragments']} fragment(s), "
-            f"{report['bytes']} bytes, epoch {report['epoch']}, catalog "
-            f"version {report['catalog_version']}, {report['staged']} staged"
-        )
-        for column in report["columns"]:
-            self._print(
-                f"  {column['table']}.{column['column']:24}"
-                f"{column['fragments']:>8} fragments"
-                f"{column['entries']:>10} entries"
-                f"{column['bytes']:>12} bytes"
-            )
-        builds = METRICS.counter("xindex.builds").value
-        hits = {
-            m: METRICS.counter(f"xindex.hits.{m}").value
-            for m in ("get_elm", "find_key_in_elm", "get_elm_index")
-        }
-        misses = {
-            m: METRICS.counter(f"xindex.misses.{m}").value
-            for m in ("get_elm", "find_key_in_elm", "get_elm_index")
-        }
-        self._print(
-            f"builds: {builds}; hits/misses: "
-            + ", ".join(
-                f"{m} {hits[m]}/{misses[m]}" for m in hits
-            )
         )
 
     def _print_partitions(self) -> None:

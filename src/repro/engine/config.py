@@ -11,11 +11,6 @@ and steers the physical layer the planner emits:
   still fits comfortably in cache.  ``batch_size=1`` degenerates to the
   classic row-at-a-time Volcano regime and is the measured baseline of
   ``benchmarks/bench_vectorized_speedup.py``.
-* ``xadt_structural_index`` — route the XADT methods through the
-  persistent per-column structural index
-  (:mod:`repro.xadt.structural_index`) when one is published for the
-  fragment.  Off by default: the tag-scan path is the paper-faithful
-  mode whose Fig11/Fig13 shapes the benchmarks reproduce.
 * ``parallel_workers`` — size of the multiprocessing worker pool for
   partition-parallel scans (DESIGN.md §12).  0 (the default) disables
   the pool entirely: plans never contain an Exchange operator and the
@@ -25,11 +20,15 @@ and steers the physical layer the planner emits:
 
 Expressions always compile through :mod:`repro.engine.expr_compile`,
 and the optimizer always pushes single-table predicates and the
-needed-column projection into the scans.
+needed-column projection into the scans.  How an XADT method reaches
+the fragment is not a knob either: it follows the value's codec, and
+fast order access (QS6) is the per-column choice of the ``indexed``
+codec at load time (``load_documents(..., codecs={...})``), whose span
+directory travels inside each value.
 
 Changing the config on a live database bumps its config epoch, which
-invalidates cached plans (their operators bake in batch sizes, the XADT
-access path and Exchange wrapping).
+invalidates cached plans (their operators bake in batch sizes and
+Exchange wrapping).
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class ExecutionConfig:
     """Immutable knobs of the vectorized execution layer."""
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    xadt_structural_index: bool = False
     parallel_workers: int = 0
 
     def __post_init__(self) -> None:
@@ -59,7 +57,6 @@ class ExecutionConfig:
     def as_dict(self) -> dict[str, object]:
         return {
             "batch_size": self.batch_size,
-            "xadt_structural_index": self.xadt_structural_index,
             "parallel_workers": self.parallel_workers,
         }
 

@@ -125,12 +125,6 @@ class Database:
             self, 0, name="default", snapshot_reads=False
         )
         self._sessions[0] = self._default
-        # the process-wide XADT structural-index store publishes with
-        # this engine's snapshot swaps (imported lazily: repro.xadt's
-        # package init imports this module)
-        from repro.xadt.structural_index import XINDEX
-
-        self.engine.attach_xindex(XINDEX)
         #: write-ahead log; None runs the engine in volatile mode
         self._wal: WriteAheadLog | None = None
         #: database-wide resource limits (sessions may override)
@@ -341,66 +335,6 @@ class Database:
             if self._wal is not None:
                 self._wal.log_exec_config(config)
             self._catalog_mgr.set_exec_config(config, version)
-            self._sync_structural_indexes()
-
-    # -- XADT structural indexes -------------------------------------------
-
-    def _structural_enabled(self) -> bool:
-        return self._catalog_mgr.state.exec_config.xadt_structural_index
-
-    def _register_structural_columns(self, schema: TableSchema) -> bool:
-        """Register the schema's XADT columns with the process-wide store."""
-        from repro.engine.types import XadtType
-        from repro.xadt.structural_index import XINDEX
-
-        registered = False
-        for column in schema.columns:
-            if isinstance(column.sql_type, XadtType):
-                XINDEX.register_column(schema.name, column.name)
-                registered = True
-        return registered
-
-    def _ingest_structural(self, table: str, rows) -> None:
-        """Stage structural indexes for the XADT cells of ``rows``.
-
-        Runs inside the writer transaction (through the
-        ``xadt.index_build`` fault site); staged builds become visible
-        only when the engine publishes the next snapshot, after the WAL
-        transaction committed.
-        """
-        from repro.xadt.structural_index import XINDEX
-
-        if not XINDEX.active:
-            return
-        schema = self.heap(table).schema
-        names = [column.name for column in schema.columns]
-        try:
-            with TRACER.span("xindex.build", cat="xadt", args={"table": table}):
-                XINDEX.ingest_rows(table, names, rows)
-        except BaseException:
-            # a failed (or crashed) statement must not leak its builds
-            # into the next publish
-            XINDEX.discard_staged()
-            raise
-
-    def _sync_structural_indexes(self) -> None:
-        """Make the store match the config after an exec-config swap.
-
-        Turning the flag on is retroactive: every XADT column already in
-        the catalog is registered and its stored fragments are indexed
-        inside the same write transaction, so the flip publishes a fully
-        built index.  Turning it off leaves built indexes in place (the
-        per-statement routing simply stops consulting them).
-        """
-        if not self._structural_enabled():
-            return
-        registered = False
-        for schema in self._catalog_mgr.state.tables.values():
-            registered |= self._register_structural_columns(schema)
-        if not registered:
-            return
-        for heap in self.engine.heaps().values():
-            self._ingest_structural(heap.schema.name, heap.scan())
 
     # -- sessions ----------------------------------------------------------
 
@@ -469,8 +403,6 @@ class Database:
                 self._wal.log_create_table(schema)
             self._catalog_mgr.add_table(schema, version)
             self.engine.add_heap(schema)
-            if self._structural_enabled():
-                self._register_structural_columns(schema)
 
     def drop_table(self, name: str) -> None:
         self._reject_system_name(name, "drop table")
@@ -479,10 +411,6 @@ class Database:
                 self._wal.log_drop_table(name)
             self._catalog_mgr.drop_table(name, version)
             self.engine.drop_heap(name)
-            if self._structural_enabled():
-                from repro.xadt.structural_index import XINDEX
-
-                XINDEX.unregister_table(name)
 
     def create_index(
         self,
@@ -518,8 +446,6 @@ class Database:
         with self._write():
             if self._wal is not None:
                 self._wal.log_insert(table, row)
-            if self._structural_enabled():
-                self._ingest_structural(table, (row,))
             return self.heap(table).insert(row)
 
     def bulk_insert(self, table: str, rows) -> int:
@@ -532,12 +458,10 @@ class Database:
         """
         self._reject_system_name(table, "insert into")
         logged = self._wal is not None and not self._wal.closed
-        structural = self._structural_enabled()
-        if logged or structural:
-            # materialize once so the WAL, the heap, and the structural
-            # indexer see the same batch; rows are serialized inside
-            # log_bulk_insert, so later caller mutation cannot reach the
-            # log
+        if logged:
+            # materialize once so the WAL and the heap see the same
+            # batch; rows are serialized inside log_bulk_insert, so later
+            # caller mutation cannot reach the log
             rows = list(rows)
         budget = self.governor.budget(statement=f"bulk_insert {table}")
         with self._write():
@@ -545,19 +469,11 @@ class Database:
                 self._wal.log_bulk_insert(table, rows)
             heap = self.heap(table)
             if budget is None:
-                if structural:
-                    self._ingest_structural(table, rows)
                 return heap.bulk_insert(rows)
             from repro.engine.snapshot import activate, deactivate
 
             token = activate(None, None, budget)
             try:
-                # stage the structural indexes first (inside the budget
-                # scope, so the build's modelled bytes count against the
-                # statement): a build failure then aborts before the
-                # heap is touched
-                if structural:
-                    self._ingest_structural(table, rows)
                 return heap.bulk_insert(rows)
             finally:
                 deactivate(token)
@@ -776,17 +692,14 @@ class Database:
         phases: dict[str, float],
     ) -> AnalyzeReport:
         """Instrument ``plan``, drain it, and fold stats into a report."""
-        from repro.xadt.structural_index import statement_routing
-
         box.bind(tuple(params))
         columns = [slot.name for slot in plan.binding.slots]
         nodes = attach_stats(plan)
         try:
             started = time.perf_counter()
             rows = []
-            with statement_routing(self._structural_enabled()):
-                for batch in plan.batches():
-                    rows.extend(batch)
+            for batch in plan.batches():
+                rows.extend(batch)
             phases["execute"] = time.perf_counter() - started
             result = Result(columns, rows)
             report = build_report(nodes, phases, result)
@@ -869,7 +782,6 @@ class Database:
         hit/miss/eviction counters of the plan cache, the process-wide
         XADT decode cache, and the observability layer's own footprint."""
         from repro.xadt.decode_cache import DECODE_CACHE
-        from repro.xadt.structural_index import XINDEX
 
         return {
             "tables": self.table_count(),
@@ -878,7 +790,6 @@ class Database:
             "rows": self.row_count(),
             "plan_cache": self.plan_cache.report(),
             "xadt_decode_cache": DECODE_CACHE.report(),
-            "xadt_structural_index": XINDEX.report(),
             "sessions": len(self.sessions()),
             "engine_version": self.version,
             "catalog_version": self.catalog_version,

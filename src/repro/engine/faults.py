@@ -16,8 +16,6 @@ site               fires
 ``xadt.decode``    per compressed (dict-codec) fragment decode
 ``io.charge``      per modelled-I/O charge through the
                    :class:`~repro.engine.io.IoRouter`
-``xadt.index_build``  per structural-index build of one fragment
-                   (:meth:`~repro.xadt.structural_index.StructuralIndexStore.ingest_rows`)
 ``server.accept``  per TCP connection accepted by the network
                    front-end (a raise drops the connection before the
                    handshake; the accept loop must survive)
@@ -66,7 +64,6 @@ SITES = (
     "index.publish",
     "xadt.decode",
     "io.charge",
-    "xadt.index_build",
     "worker.crash",
     "server.accept",
     "server.read",

@@ -39,9 +39,8 @@ from repro.engine.expr import (
 from repro.engine.sql.ast import OrderItem, SelectItem, TableRef
 from repro.engine.types import INTEGER, VARCHAR, SqlType
 
-#: the XADT method names (lowercased) whose calls can route through the
-#: structural index; operators label that access path in EXPLAIN
-#: (``xadt[xindex]`` vs ``xadt[scan]``)
+#: the XADT method names (lowercased); operators that call one carry
+#: the ``xadt[scan]`` label in EXPLAIN
 XADT_METHOD_NAMES = frozenset(
     {"getelm", "findkeyinelm", "getelmindex", "elmequals", "elmtext"}
 )
@@ -216,14 +215,15 @@ def has_xadt_call(expr: Expr | None) -> bool:
     return any(has_xadt_call(child) for child in children_of(expr))
 
 
-def xadt_access(exprs, label: str) -> str | None:
-    """``label`` when any expression calls an XADT method, else None.
+def xadt_access(exprs) -> str | None:
+    """``"scan"`` when any expression calls an XADT method, else None.
 
-    Operators carry the label into EXPLAIN (``xadt[xindex]`` vs
-    ``xadt[scan]``) so plans show which access path the fragment methods
-    will take under the catalog's execution config.
+    Operators carry the label into EXPLAIN (``xadt[scan]``) so plans show
+    which operators evaluate fragment methods.  The label is constant:
+    each method answers from the value's own codec (an ``indexed`` value
+    carries its directory), so no plan-level routing exists.
     """
-    return label if any(has_xadt_call(e) for e in exprs) else None
+    return "scan" if any(has_xadt_call(e) for e in exprs) else None
 
 
 def collect_aggregates(

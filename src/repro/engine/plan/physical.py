@@ -1336,17 +1336,12 @@ def _exec_config_of(ctx):
     return getattr(ctx, "exec_config", None) or VECTORIZED
 
 
-def _xadt_label(config) -> str:
-    """The XADT access-path label this config routes method calls to."""
-    return "xindex" if config.xadt_structural_index else "scan"
-
-
 def lower_select(
     root: LogicalNode, ctx, params: ParamBox | None = None
 ) -> Operator:
     """Lower a decided logical plan to the native operator tree."""
     config = _exec_config_of(ctx)
-    lowering = _SelectLowering(ctx, params, _xadt_label(config))
+    lowering = _SelectLowering(ctx, params)
     plan = lowering.lower(root)
     if config.batch_size != DEFAULT_BATCH_SIZE:
         pending = [plan]
@@ -1358,13 +1353,12 @@ def lower_select(
 
 
 class _SelectLowering:
-    """One lowering pass: carries context, params, and the XADT label."""
+    """One lowering pass: carries context and params."""
 
-    def __init__(self, ctx, params: ParamBox | None, xadt_label: str):
+    def __init__(self, ctx, params: ParamBox | None):
         self.ctx = ctx
         self.registry: FunctionRegistry = ctx.registry
         self.params = params
-        self.xadt_label = xadt_label
         self.io = getattr(ctx, "io", None)
 
     def compile(self, expr: Expr, binding: Binding) -> Compiled:
@@ -1409,7 +1403,7 @@ class _SelectLowering:
                 plan,
                 self.compile(node.predicate, plan.binding),
                 node.predicate.sql(),
-                xadt_access=xadt_access([node.predicate], self.xadt_label),
+                xadt_access=xadt_access([node.predicate]),
             )
             filtered.estimated_rows = node.estimate
             return filtered
@@ -1449,7 +1443,7 @@ class _SelectLowering:
                 residual_sql=residual.sql() if residual else "",
                 io=self.io,
                 projection=scan.projection,
-                xadt_access=xadt_access(rest, self.xadt_label),
+                xadt_access=xadt_access(rest),
             )
             operator.estimated_rows = scan.estimate
             return operator
@@ -1465,7 +1459,7 @@ class _SelectLowering:
             predicate_sql=predicate.sql() if predicate else "",
             io=self.io,
             projection=scan.projection,
-            xadt_access=xadt_access(scan.pushed, self.xadt_label),
+            xadt_access=xadt_access(scan.pushed),
         )
         operator.estimated_rows = scan.estimate
         if scan.exchange:
@@ -1551,7 +1545,7 @@ class _SelectLowering:
                 plan,
                 self.compile(predicate, plan.binding),
                 predicate.sql(),
-                xadt_access=xadt_access([predicate], self.xadt_label),
+                xadt_access=xadt_access([predicate]),
             )
             plan.estimated_rows = plan.input.estimated_rows * 0.5
         return plan
@@ -1582,7 +1576,7 @@ class _SelectLowering:
                     plan,
                     self.compile(having, plan.binding),
                     aggregate.having.sql(),
-                    xadt_access=xadt_access([aggregate.having], self.xadt_label),
+                    xadt_access=xadt_access([aggregate.having]),
                 )
 
         # SELECT list
@@ -1656,9 +1650,7 @@ class _SelectLowering:
                 xadt_access=(
                     None
                     if identity
-                    else xadt_access(
-                        [item.expr for item in select_items], self.xadt_label
-                    )
+                    else xadt_access([item.expr for item in select_items])
                 ),
             )
             projected.estimated_rows = plan.estimated_rows

@@ -152,8 +152,11 @@ def _apply(db: "Database", record: dict) -> None:
 
 
 #: ExecutionConfig fields that logs written by older engines still carry;
-#: both knobs are gone (expressions always compile, scans always prune)
-RETIRED_CONFIG_KEYS = frozenset({"compiled_expressions", "scan_pushdown"})
+#: the knobs are gone (expressions always compile, scans always prune,
+#: and fast XADT order access is the per-column ``indexed`` codec)
+RETIRED_CONFIG_KEYS = frozenset(
+    {"compiled_expressions", "scan_pushdown", "xadt_structural_index"}
+)
 
 
 def _decode_exec_config(payload: dict) -> ExecutionConfig:

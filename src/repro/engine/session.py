@@ -91,17 +91,6 @@ def _decode_cache_hits() -> int:
     return _DECODE_CACHE.stats.hits
 
 
-def statement_routing(enabled: bool):
-    """Pin the XADT structural-index access path for one statement.
-
-    Imported lazily: ``repro.xadt``'s package init imports this module's
-    importer (``engine.database``), so a top-level import would cycle.
-    """
-    from repro.xadt.structural_index import statement_routing as pin_routing
-
-    return pin_routing(enabled)
-
-
 def _statement_kind(key: str) -> str:
     head = key[:6].lower()
     if head == "select":
@@ -414,10 +403,6 @@ class Session:
         entry.params.bind(tuple(params))
         columns = [slot.name for slot in entry.plan.binding.slots]
         budget = self._db.governor.budget_for(self.limits, statement="select")
-        # pin the XADT access path for this statement to the catalog's
-        # config: two databases in one process (one paper-faithful, one
-        # structurally indexed) must never see each other's routing
-        config = (pin.catalog if pin is not None else self._db.catalog).exec_config
         # the default session (pin None) passes io=None so the router
         # keeps charging the shared base counters, exactly as before
         token = (
@@ -435,9 +420,7 @@ class Session:
         )
         nodes = attach_stats(entry.plan) if capture else None
         try:
-            with TRACER.span("execute") as span, statement_routing(
-                config.xadt_structural_index
-            ):
+            with TRACER.span("execute") as span:
                 rows: list[tuple] = []
                 if budget is None:
                     for batch in entry.plan.batches():

@@ -37,7 +37,6 @@ from repro.errors import CatalogError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.plan_cache import PlanCache
-    from repro.xadt.structural_index import StructuralIndexStore
 
 
 class StorageEngine:
@@ -51,7 +50,6 @@ class StorageEngine:
         self._depth = 0
         self._txn_version = 0
         self._plan_cache: "PlanCache | None" = None
-        self._xindex: "StructuralIndexStore | None" = None
         self._snapshot = EngineSnapshot(
             version=0, catalog=catalog.state, heaps={}, indexes={}, tables={}
         )
@@ -59,13 +57,6 @@ class StorageEngine:
     def attach_plan_cache(self, cache: "PlanCache") -> None:
         """Register the cache to purge when a catalog change publishes."""
         self._plan_cache = cache
-
-    def attach_xindex(self, store: "StructuralIndexStore") -> None:
-        """Register the XADT structural-index store to publish with
-        each snapshot swap (same commit-before-publish ordering as every
-        other index: staged builds become visible only here, after the
-        WAL transaction committed)."""
-        self._xindex = store
 
     # -- snapshots ---------------------------------------------------------
 
@@ -138,8 +129,6 @@ class StorageEngine:
             and self._plan_cache is not None
         ):
             self._plan_cache.purge_stale(catalog.version)
-        if self._xindex is not None and self._xindex.active:
-            self._xindex.publish(catalog.version)
 
     # -- storage mutations (call inside a write transaction) ---------------
 

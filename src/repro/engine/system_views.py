@@ -22,7 +22,6 @@ executor — no side channel, no special syntax:
 * ``sys_partitions``  — per-partition row/byte extents of partitioned
   heaps plus the parallel worker pool's configured/alive counts;
 * ``sys_wal``         — the write-ahead log's report;
-* ``sys_xindex``      — the XADT structural-index column store;
 * ``sys_connections`` — the network front-end's live connections
   (process-wide: the server is a process-level component, like the
   metrics registry).
@@ -247,23 +246,6 @@ def _wal_rows(db: "Database") -> list[tuple]:
     return rows
 
 
-def _xindex_rows(db: "Database") -> list[tuple]:
-    # lazy: repro.xadt's package init imports the engine
-    from repro.xadt.structural_index import XINDEX
-
-    report = XINDEX.report()
-    rows: list[tuple] = []
-    for column in report.get("columns", []):
-        rows.append((
-            column["table"],
-            column["column"],
-            column["fragments"],
-            column["entries"],
-            column["bytes"],
-        ))
-    return sorted(rows)
-
-
 def _connections_rows(db: "Database") -> list[tuple]:
     # lazy: the server package is optional at runtime and imports the
     # engine; pulling it in here would cycle and cost every database
@@ -368,14 +350,6 @@ _VIEW_DEFS: dict[str, tuple[list[tuple[str, object]], Callable]] = {
     "sys_wal": (
         [("name", VARCHAR), ("value", VARCHAR)],
         _wal_rows,
-    ),
-    "sys_xindex": (
-        [
-            ("table_name", VARCHAR), ("column_name", VARCHAR),
-            ("fragments", INTEGER), ("entries", INTEGER),
-            ("bytes", INTEGER),
-        ],
-        _xindex_rows,
     ),
     "sys_connections": (
         [

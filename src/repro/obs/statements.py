@@ -12,12 +12,11 @@ serves through SQL and the CLI's ``\\statements`` renders.
 
 **Wait profiling.**  While a statement is observed, the collector
 installs a per-thread wait sink (:data:`repro.obs.trace.WAIT_SINK`); the
-tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync``,
-``xindex.build`` — record their durations into it even when the Chrome
-trace buffer is off.  At finish the sink is folded into a breakdown
-whose parts sum to the statement's wall time: nested waits
-(``wal.fsync``, ``xindex.build``, ``governor.throttle``) are subtracted
-from ``execute``, and the unattributed remainder lands in ``other``.
+tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync`` —
+record their durations into it even when the Chrome trace buffer is
+off.  At finish the sink is folded into a breakdown whose parts sum to
+the statement's wall time: nested waits (``wal.fsync``,
+``governor.throttle``, ``exchange``) are subtracted from ``execute``, and the unattributed remainder lands in ``other``.
 The modelled-I/O stall a :class:`~repro.engine.executor.ConcurrentExecutor`
 sleeps *after* a query returns is attributed by the executor itself via
 :meth:`StatementStatsCollector.record_wait` (wait name ``io.stall``).
@@ -56,7 +55,6 @@ from repro.obs.trace import WAIT_SINK
 #: ``governor.throttle`` is admission-control delay (reserved — the
 #: governor aborts rather than throttles today, so it reads zero);
 #: ``io.stall`` is the concurrent executor's modelled-disk sleep;
-#: ``xindex.build`` is structural-index staging inside a write;
 #: ``exchange`` is time a partition-parallel scan spent scattered to the
 #: worker pool (dispatch through last reply); ``network`` is time the
 #: server spent writing a statement's result frames to the client
@@ -71,14 +69,13 @@ WAIT_NAMES = (
     "wal.fsync",
     "governor.throttle",
     "io.stall",
-    "xindex.build",
     "exchange",
     "network",
 )
 
 #: waits nested inside the ``execute`` span, subtracted so the
 #: breakdown never double-counts
-_NESTED_WAITS = ("wal.fsync", "xindex.build", "governor.throttle", "exchange")
+_NESTED_WAITS = ("wal.fsync", "governor.throttle", "exchange")
 
 #: bounded number of distinct statement keys (LRU-evicted past this)
 DEFAULT_MAX_STATEMENTS = 512

@@ -5,8 +5,9 @@ over the VARCHAR payload; the Python-faithful equivalent is
 ``str.find``-based scanning, which runs in C and keeps the method cost
 proportional to the fragment bytes scanned — the property the §4.3/§4.4
 analysis depends on.  :mod:`repro.xadt.methods` dispatches here for
-plain payloads and falls back to the generic event walk for the
-compressed codec.
+plain payloads, to :class:`repro.xadt.metadata.SpanDirectory` for the
+``indexed`` codec, and to the generic event walk for the compressed
+codec.
 
 Assumption (guaranteed by the XADT encoders and serializer, and by
 ``XadtValue.from_xml``'s validation): fragment text is well-formed and
@@ -147,9 +148,9 @@ def _match_span(payload: str, tag: str, open_at: int, limit: int) -> Span:
 
 
 def get_elm_plain(
-    payload: str, root_elm: str, search_elm: str, search_key: str
+    payload: str, root_elm: str, search_elm: str, search_key: str, level: int = -1
 ) -> str:
-    """Fast path for getElm with the default (unlimited) level."""
+    """getElm over plain text (``level < 0``: unlimited depth)."""
     matched: list[str] = []
     if root_elm:
         candidates: Iterator[Span] = find_spans(payload, root_elm)
@@ -157,24 +158,47 @@ def get_elm_plain(
         candidates = (span for _, span in top_level_spans(payload))
     for span in candidates:
         piece = span.slice(payload)
-        if _piece_matches(piece, search_elm, search_key):
+        if _piece_matches(piece, search_elm, search_key, level):
             matched.append(piece)
     return "".join(matched)
 
 
-def _piece_matches(piece: str, search_elm: str, search_key: str) -> bool:
+def _piece_matches(
+    piece: str, search_elm: str, search_key: str, level: int
+) -> bool:
     if not search_elm and not search_key:
         return True
     if not search_elm:
         return search_key in text_of(piece)
-    # find_spans also matches the piece's own root when the tags coincide
-    # (descendant-or-self semantics: QE1's rootElm == searchElm case).
-    for span in find_spans(piece, search_elm):
+    # both span walks also match the piece's own root when the tags
+    # coincide (descendant-or-self semantics: QE1's rootElm == searchElm)
+    spans = (
+        find_spans(piece, search_elm)
+        if level < 0
+        else _spans_within_level(piece, search_elm, level)
+    )
+    for span in spans:
         if not search_key:
             return True
         if search_key in text_of(span.content(piece)):
             return True
     return False
+
+
+def _spans_within_level(payload: str, tag: str, level: int) -> Iterator[Span]:
+    """Shallowest ``tag`` occurrences at most ``level`` levels below the
+    top level (level 0); a deeper same-tag occurrence's text is part of
+    its ancestor's, so it can never match where the ancestor did not."""
+    frontier = [(0, len(payload))]
+    for _ in range(level + 1):
+        deeper = []
+        for start, end in frontier:
+            for name, span in top_level_spans(payload, start, end):
+                if name == tag:
+                    yield span
+                elif span.content_end > span.content_start:
+                    deeper.append((span.content_start, span.content_end))
+        frontier = deeper
 
 
 def find_key_in_elm_plain(payload: str, search_elm: str, search_key: str) -> int:

@@ -71,7 +71,7 @@ class XadtValue:
 
         Skips the constructor's codec/type checks; only for callers that
         hold text sliced out of an existing validated fragment (e.g. the
-        structural-index method routing).
+        XADT methods' results).
         """
         value = object.__new__(cls)
         object.__setattr__(value, "codec", PLAIN)
@@ -132,18 +132,19 @@ class XadtValue:
         return size
 
     def directory(self):
-        """The element-span directory (indexed codec).
+        """The structural span directory (indexed codec; see
+        :mod:`repro.xadt.metadata`).
 
         Built once per payload, not per instance: directories are
         memoized process-wide (:mod:`repro.xadt.decode_cache`) keyed on
         the payload text, so values reconstructed from the same payload
         — e.g. across the FENCED UDF pickle boundary — skip the rebuild.
         """
-        from repro.xadt.decode_cache import DECODE_CACHE
-        from repro.xadt.metadata import SpanDirectory
-
         cached = self._directory
         if cached is None:
+            from repro.xadt.decode_cache import DECODE_CACHE
+            from repro.xadt.metadata import SpanDirectory
+
             key = ("span-directory", self.payload)
             cached = DECODE_CACHE.get(key)
             if cached is None:

@@ -1,9 +1,10 @@
 """The XADT methods (paper §3.4.2): getElm, findKeyInElm, getElmIndex.
 
-All three scan the fragment's event stream — they never build a DOM —
-mirroring the paper's C-string implementation whose cost is proportional
-to the amount of fragment data scanned (that scan cost is what makes
-QS6 slower under XORator, §4.3).
+None of them builds a DOM.  Over the ``plain`` and ``dict`` codecs they
+scan the fragment, mirroring the paper's C-string implementation whose
+cost is proportional to the amount of fragment data scanned (that scan
+cost is what makes QS6 slower under XORator, §4.3); the ``indexed``
+codec's directory is the paper's §5 remedy.
 
 Semantics follow the paper's definitions:
 
@@ -28,11 +29,14 @@ Semantics follow the paper's definitions:
 implemented", §3.4.2) returning the concatenated character content; the
 SIGMOD workload uses it to group unnested fragments by their text.
 
-Decoding cost is amortized underneath these methods, not inside them:
-``XadtValue.events()`` replays memoized event lists for dict payloads
-and ``XadtValue.directory()`` reuses memoized span directories (see
-:mod:`repro.xadt.decode_cache`), so repeated method calls over the same
-hot fragments skip the decompressor / directory rebuild entirely.
+Each method has exactly one implementation per codec: ``plain`` values
+run the C-speed tag scan (:mod:`repro.xadt.fastscan`), ``indexed``
+values answer from the span directory they carry
+(:class:`repro.xadt.metadata.SpanDirectory`, the paper's §5 metadata),
+and ``dict`` values walk their event stream.  Decoding cost is amortized
+underneath: ``XadtValue.events()`` replays memoized event lists for dict
+payloads and ``XadtValue.directory()`` reuses memoized directories (see
+:mod:`repro.xadt.decode_cache`).
 """
 
 from __future__ import annotations
@@ -43,13 +47,7 @@ from repro.errors import XadtMethodError
 from repro.xadt import fastscan
 from repro.xadt.decode_cache import memoize_predicate
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.storage import Event, events_to_text
-from repro.xadt.structural_index import (
-    XINDEX,
-    record_hit,
-    record_miss,
-    routing_enabled,
-)
+from repro.xadt.storage import INDEXED, PLAIN, Event, events_to_text
 
 
 def get_elm(
@@ -61,25 +59,15 @@ def get_elm(
 ) -> XadtValue:
     """Return all matching ``root_elm`` elements as a new fragment."""
     value = coerce_fragment(fragment)
-    if level < 0 and routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("get_elm")
-            return XadtValue.wrap_plain(
-                index.get_elm(root_elm, search_elm, search_key)
-            )
-        record_miss("get_elm")
-    if value.codec == "indexed" and level < 0:
-        from repro.xadt import metadata
-
-        return XadtValue(
-            metadata.get_elm_indexed(
-                value.payload, value.directory(), root_elm, search_elm, search_key
-            )
+    if value.codec == INDEXED:
+        return XadtValue.wrap_plain(
+            value.directory().get_elm(root_elm, search_elm, search_key, level)
         )
-    if value.codec == "plain" and level < 0:
-        return XadtValue(
-            fastscan.get_elm_plain(value.payload, root_elm, search_elm, search_key)
+    if value.codec == PLAIN:
+        return XadtValue.wrap_plain(
+            fastscan.get_elm_plain(
+                value.payload, root_elm, search_elm, search_key, level
+            )
         )
     matched: list[str] = []
     for subtree in _iter_subtrees(value.events(), root_elm):
@@ -91,40 +79,19 @@ def get_elm(
 def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
     """1 if any ``search_elm`` element's content contains ``search_key``.
 
-    The per-codec verdicts are memoized in the process-wide decode cache
-    (keyed on payload identity + search terms), and the indexed codec
-    consults the span directory's tag index first: a document that never
-    contains ``search_elm`` is rejected in O(1) without decoding any
-    payload text — the predicate-pushdown half of the vectorized scan
-    path.
+    The ``indexed`` codec answers from its directory's token blobs (one
+    substring probe for word keys).  The scanning codecs memoize their
+    verdicts in the process-wide decode cache, keyed on payload identity
+    plus the search terms.
     """
     if not search_elm and not search_key:
         raise XadtMethodError(
             "findKeyInElm: searchElm and searchKey cannot both be empty"
         )
     value = coerce_fragment(fragment)
-    if routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("find_key_in_elm")
-            return index.find_key(search_elm, search_key)
-        record_miss("find_key_in_elm")
-    if value.codec == "indexed":
-        from repro.xadt import metadata
-
-        directory = value.directory()
-        if search_elm and not directory.has_tag(search_elm):
-            return 0  # tag index proves absence; skip the payload entirely
-        return memoize_predicate(
-            "findkey-indexed",
-            value.payload,
-            (search_elm, search_key),
-            lambda: metadata.find_key_in_elm_indexed(
-                value.payload, directory, search_elm, search_key
-            ),
-            version=XINDEX.epoch,
-        )
-    if value.codec == "plain":
+    if value.codec == INDEXED:
+        return value.directory().find_key(search_elm, search_key)
+    if value.codec == PLAIN:
         return memoize_predicate(
             "findkey-plain",
             value.payload,
@@ -132,14 +99,12 @@ def find_key_in_elm(fragment: object, search_elm: str, search_key: str) -> int:
             lambda: fastscan.find_key_in_elm_plain(
                 value.payload, search_elm, search_key
             ),
-            version=XINDEX.epoch,
         )
     return memoize_predicate(
         "findkey-dict",
         value.payload,
         (search_elm, search_key),
         lambda: _find_key_in_events(value, search_elm, search_key),
-        version=XINDEX.epoch,
     )
 
 
@@ -194,29 +159,18 @@ def get_elm_index(
     if not child_elm:
         raise XadtMethodError("getElmIndex: childElm cannot be an empty string")
     value = coerce_fragment(fragment)
-    if routing_enabled():
-        index = XINDEX.lookup(value)
-        if index is not None:
-            record_hit("get_elm_index")
-            return XadtValue.wrap_plain(
-                index.get_elm_index(
-                    parent_elm, child_elm, int(start_pos), int(end_pos)
-                )
-            )
-        record_miss("get_elm_index")
-    if value.codec == "indexed":
-        from repro.xadt import metadata
-
-        return XadtValue(
-            metadata.get_elm_index_indexed(
-                value.payload, value.directory(), parent_elm, child_elm,
-                int(start_pos), int(end_pos),
+    start_pos = int(start_pos)
+    end_pos = int(end_pos)
+    if value.codec == INDEXED:
+        return XadtValue.wrap_plain(
+            value.directory().get_elm_index(
+                parent_elm, child_elm, start_pos, end_pos
             )
         )
-    if value.codec == "plain":
-        return XadtValue(
+    if value.codec == PLAIN:
+        return XadtValue.wrap_plain(
             fastscan.get_elm_index_plain(
-                value.payload, parent_elm, child_elm, int(start_pos), int(end_pos)
+                value.payload, parent_elm, child_elm, start_pos, end_pos
             )
         )
     matched: list[str] = []
@@ -238,7 +192,8 @@ def get_elm_index(
 
 
 def elm_equals(fragment: object, search_elm: str, value: str) -> int:
-    """1 if any ``search_elm`` element's text content equals ``value``.
+    """1 if any outermost ``search_elm`` element's text content equals
+    ``value``.
 
     The exact-match companion of :func:`find_key_in_elm` (a "more
     specialized method" in the sense of §3.4.2); the path-query compiler
@@ -248,14 +203,9 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
     if not search_elm:
         raise XadtMethodError("elmEquals: searchElm cannot be empty")
     value_of = coerce_fragment(fragment)
-    if value_of.codec == "indexed":
-        from repro.xadt import metadata
-
-        for entry in value_of.directory().spans_of(search_elm):
-            if fastscan.text_of(entry.content(value_of.payload)) == value:
-                return 1
-        return 0
-    if value_of.codec == "plain":
+    if value_of.codec == INDEXED:
+        return value_of.directory().elm_equals(search_elm, value)
+    if value_of.codec == PLAIN:
         for span in fastscan.find_spans(value_of.payload, search_elm):
             if fastscan.text_of(span.content(value_of.payload)) == value:
                 return 1
@@ -270,7 +220,7 @@ def elm_equals(fragment: object, search_elm: str, value: str) -> int:
 def elm_text(fragment: object) -> str:
     """Concatenated character content of the fragment."""
     value = coerce_fragment(fragment)
-    if value.codec in ("plain", "indexed"):
+    if value.codec in (PLAIN, INDEXED):
         return fastscan.text_of(value.payload)
     return value.text()
 

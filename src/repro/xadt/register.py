@@ -18,8 +18,6 @@ option "causes a significant performance penalty".
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.engine.database import Database
 from repro.engine.types import INTEGER, VARCHAR, XADT
 from repro.engine.udf import FunctionKind
@@ -68,20 +66,6 @@ def register_xadt_functions(db: Database, fenced: bool = False) -> None:
     registry.register_table("unnest", unnest, [("out", XADT)], mode)
 
     _register_figure14_udfs(db)
-
-
-def enable_structural_indexes(db: Database) -> None:
-    """Turn on structural-index routing for ``db``.
-
-    Flips ``ExecutionConfig.xadt_structural_index`` through the normal
-    (WAL-logged) exec-config path, which retroactively registers every
-    XADT column in the catalog with the process-wide store and indexes
-    all stored fragments inside the same write transaction — so the
-    flag's publish already carries a fully built index, and a recovery
-    replaying the logged config rebuilds it at the same point in the
-    logical history.
-    """
-    db.set_exec_config(replace(db.exec_config, xadt_structural_index=True))
 
 
 def _register_figure14_udfs(db: Database) -> None:

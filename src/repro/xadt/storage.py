@@ -235,21 +235,6 @@ def dict_payload_event_list(payload: bytes) -> list[Event]:
     return events  # type: ignore[return-value]
 
 
-def payload_text(payload: str | bytes, codec: str) -> str:
-    """The canonical tagged-text rendering of a stored payload.
-
-    For the text codecs this is the payload itself; dict payloads are
-    decoded and re-serialized.  The structural index
-    (:mod:`repro.xadt.structural_index`) builds from this rendering, so
-    its byte offsets address the same text the scan methods slice.
-    """
-    if codec in (PLAIN, INDEXED):
-        if not isinstance(payload, str):
-            raise XadtCodecError("plain payloads are text")
-        return payload
-    return events_to_text(payload_events(payload, codec))
-
-
 def payload_size(payload: str | bytes, codec: str) -> int:
     """Stored size in bytes (the indexed codec's directory is added by
     XadtValue.byte_size, which owns the directory)."""

@@ -18,19 +18,17 @@ from typing import Iterator
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
 from repro.xadt.methods import _iter_subtrees
-from repro.xadt.storage import events_to_text
+from repro.xadt.storage import INDEXED, PLAIN, events_to_text
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:
     """Yield one single-column row per matching element."""
     value = coerce_fragment(fragment)
-    if value.codec == "indexed":
-        from repro.xadt import metadata
-
-        for piece in metadata.unnest_indexed(value.payload, value.directory(), tag):
+    if value.codec == INDEXED:
+        for piece in value.directory().unnest(tag):
             yield (XadtValue(piece),)
         return
-    if value.codec == "plain":
+    if value.codec == PLAIN:
         for piece in fastscan.unnest_plain(value.payload, tag):
             yield (XadtValue(piece),)
         return

@@ -78,16 +78,27 @@ class TestCleanRecovery:
         recovered = Database.open(path, recover=True)
         assert recovered.exec_config.batch_size == 7
 
-        # a log written before two config knobs were retired still carries
-        # them; replay drops exactly those keys ...
+        # a log written before the config knobs were retired still
+        # carries them; replay drops exactly those keys ...
         legacy = str(tmp_path / "legacy.jsonl")
         _rewrite_exec_config(
             path, legacy, {key: False for key in RETIRED_CONFIG_KEYS}
         )
         current = {f.name for f in fields(ExecutionConfig)}
-        assert len(RETIRED_CONFIG_KEYS) == 2
+        assert len(RETIRED_CONFIG_KEYS) == 3
         assert not RETIRED_CONFIG_KEYS & current
         recovered = Database.open(legacy, recover=True)
+        assert recovered.exec_config == ExecutionConfig(batch_size=7)
+
+        # ... including the structural-index flag switched on, the
+        # record an engine with the separate XADT index store wrote
+        structural = str(tmp_path / "structural.jsonl")
+        _rewrite_exec_config(
+            path, structural,
+            {"compiled_expressions": True, "scan_pushdown": True,
+             "xadt_structural_index": True},
+        )
+        recovered = Database.open(structural, recover=True)
         assert recovered.exec_config == ExecutionConfig(batch_size=7)
 
         # ... and any other unknown key still fails replay, typed

@@ -106,7 +106,6 @@ class TestConfigEpoch:
         database = Database("cfg", exec_config=ONE_ROW_BATCHES)
         assert database.exec_config.as_dict() == {
             "batch_size": 1,
-            "xadt_structural_index": False,
             "parallel_workers": 0,
         }
 

@@ -22,7 +22,7 @@ from repro.obs import METRICS, STATEMENTS
 
 VIEW_NAMES = (
     "sys_metrics", "sys_sessions", "sys_tables", "sys_indexes",
-    "sys_statements", "sys_wal", "sys_xindex", "sys_partitions",
+    "sys_statements", "sys_wal", "sys_partitions",
 )
 
 
@@ -102,9 +102,6 @@ class TestViewsThroughSql:
         assert pairs["attached"] == "true"
         assert "wal.jsonl" in pairs["path"]
         database.close()
-
-    def test_sys_xindex_empty_without_structural_index(self, db):
-        assert db.execute("SELECT * FROM sys_xindex").rows == []
 
     def test_sys_partitions_empty_without_partitioned_tables(self, db):
         assert db.execute("SELECT * FROM sys_partitions").rows == []
