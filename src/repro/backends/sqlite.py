@@ -26,7 +26,7 @@ methods become correlated subqueries over the shred table; because the
 shred tables carry no indexes (and ``automatic_index`` is off), scans
 return rows in insertion = document order, which makes
 ``group_concat(xml, '')`` reassemble fragments byte-identically to the
-native event-walk methods.
+native tag-scan methods.
 
 Statements are compiled once per catalog version and cached in the
 shared plan cache under a ``"sqlite::"``-prefixed key, so native plans

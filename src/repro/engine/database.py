@@ -808,9 +808,8 @@ class Database:
         }
 
     def reset_function_stats(self) -> None:
-        """Zero the per-name invocation counts *and* the registry's UDF
-        counters/latency histograms, so Figure 14 measures each fencing
-        variant from zero."""
+        """Zero the per-name invocation counts *and* the ``udf.calls.*``
+        counters, so Figure 14 measures each fencing variant from zero."""
         self.registry.stats.reset()
         METRICS.reset(prefix="udf.")
 

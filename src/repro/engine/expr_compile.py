@@ -22,9 +22,12 @@ Semantics (pinned by ``tests/engine/test_expr_compile.py``, partly
 against the SQLite backend): NULL comparisons are not true, LIKE on
 NULL is false, ``NOT LIKE`` requires a non-NULL operand, arithmetic
 propagates NULL, divides ints with ``//`` and raises
-:class:`~repro.errors.ExecutionError` on bad operands, and scalar
-function calls still go through ``FunctionRegistry.call_scalar`` so UDF
-invocation counts (Figure 14) are unchanged.  Typed fast paths — a
+:class:`~repro.errors.ExecutionError` on bad operands, and a scalar
+function call compiles to a direct call of the invoker
+:meth:`FunctionRegistry.bind <repro.engine.udf.FunctionRegistry.bind>`
+returned at compile time (which resolved the name and checked the
+arity), so each row pays only the per-call UDF work and invocation
+counts (Figure 14) stay exact.  Typed fast paths — a
 comparison of an INTEGER/VARCHAR column against a literal of the same
 kind compiles to a bare ``==``/``<`` with explicit NULL guards — apply
 only where the storage layer guarantees the operand types.
@@ -128,12 +131,9 @@ class _Lowering:
         params: ParamBox | None,
     ) -> None:
         self.binding = binding
+        self.registry = registry
         self.params = params
-        self.env: dict[str, object] = {
-            "__builtins__": {},
-            "bool": bool,
-            "_call_scalar": registry.call_scalar,
-        }
+        self.env: dict[str, object] = {"__builtins__": {}, "bool": bool}
         self._counter = 0
 
     def bind(self, value: object, prefix: str = "_g") -> str:
@@ -165,8 +165,10 @@ class _Lowering:
                 raise PlanError(
                     f"aggregate {expr.name}() in a non-aggregate context"
                 )
+            registry = self.registry
+            invoker = registry.bind(registry.scalar(expr.name), len(expr.args))
             args = ", ".join(self.lower(arg) for arg in expr.args)
-            return f"_call_scalar({expr.name!r}, [{args}])"
+            return f"{self.bind(invoker, '_udf')}({args})"
         if isinstance(expr, Comparison):
             return self._comparison(expr)
         if isinstance(expr, Like):

@@ -75,7 +75,7 @@ from repro.engine.plan.logical import (
 )
 from repro.engine.storage import HeapTable, PartitionedHeapTable
 from repro.engine.types import INTEGER, VARCHAR, SqlType
-from repro.engine.udf import FunctionRegistry
+from repro.engine.udf import FunctionRegistry, TableFunction
 from repro.engine.values import group_key
 from repro.errors import ExecutionError, PlanError
 from repro.obs.explain import OperatorStats
@@ -617,25 +617,25 @@ class LateralFunctionScan(Operator):
     def __init__(
         self,
         input_op: Operator,
-        function_name: str,
+        function: TableFunction,
+        call: Callable[..., list[tuple]],
         args: list[Compiled],
         alias: str,
-        output_columns: list[tuple[str, SqlType]],
-        registry: FunctionRegistry,
     ) -> None:
         self.input = input_op
-        self.function_name = function_name
+        self.function_name = function.name
+        self.call = call
         self.args = args
         self.alias = alias.lower()
-        self.registry = registry
         slots = [
-            Slot(self.alias, name, sql_type) for name, sql_type in output_columns
+            Slot(self.alias, name, sql_type)
+            for name, sql_type in function.output_columns
         ]
         self.binding = input_op.binding.extend(Binding(slots))
-        self._arity = len(output_columns)
+        self._arity = len(function.output_columns)
 
     def _execute(self) -> Iterator[Batch]:
-        call = self.registry.call_table
+        call = self.call
         name = self.function_name
         args = self.args
         arity = self._arity
@@ -643,8 +643,7 @@ class LateralFunctionScan(Operator):
             out: Batch = []
             append = out.append
             for input_row in input_batch:
-                evaluated = [arg(input_row) for arg in args]
-                for produced in call(name, evaluated):
+                for produced in call(*[arg(input_row) for arg in args]):
                     if len(produced) != arity:
                         raise ExecutionError(
                             f"table function {name!r} produced "
@@ -1527,17 +1526,11 @@ class _SelectLowering:
     def _lower_lateral(self, node: LogicalLateral) -> Operator:
         plan = self._lower_rel(node.input)
         function = self.registry.table_function(node.call.name)
+        call = self.registry.bind(function, len(node.call.args))
         args = [
             self.compile(arg, plan.binding) for arg in node.call.args
         ]
-        plan = LateralFunctionScan(
-            plan,
-            node.call.name,
-            args,
-            node.alias,
-            function.output_columns,
-            self.registry,
-        )
+        plan = LateralFunctionScan(plan, function, call, args, node.alias)
         plan.estimated_rows = plan.input.estimated_rows * 4  # fan-out guess
         predicate = and_together(node.filters)
         if predicate is not None:

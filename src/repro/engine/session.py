@@ -39,6 +39,7 @@ from repro.engine.result import Result
 from repro.engine.snapshot import EngineSnapshot, activate, deactivate
 from repro.engine.sql.ast import SelectStmt, Statement, count_parameters
 from repro.engine.sql.parser import parse_sql
+from repro.engine.udf import settle
 from repro.errors import (
     CatalogError,
     ExecutionError,
@@ -405,11 +406,7 @@ class Session:
         budget = self._db.governor.budget_for(self.limits, statement="select")
         # the default session (pin None) passes io=None so the router
         # keeps charging the shared base counters, exactly as before
-        token = (
-            activate(pin, self.io if pin is not None else None, budget)
-            if pin is not None or budget is not None
-            else None
-        )
+        token = activate(pin, self.io if pin is not None else None, budget)
         # slow-log plan capture: instrument the cached plan for this
         # execution only (skipped if another execution already holds
         # instrumentation on the shared plan)
@@ -439,8 +436,7 @@ class Session:
                             )
                 span.args["rows"] = len(rows)
         finally:
-            if token is not None:
-                deactivate(token)
+            settle(deactivate(token))
             if nodes is not None:
                 try:
                     report = build_report(nodes, {}, None)
@@ -487,7 +483,10 @@ class PreparedStatement:
     ``execute(*params)`` binds the given values to the statement's ``?``
     markers (left to right) and runs it on the owning session.  SELECT
     plans come from the database's shared plan cache, so every prepared
-    handle for the same normalized SQL reuses one compiled plan.
+    handle for the same normalized SQL reuses one compiled plan; a
+    SELECT is planned at prepare time, so planning errors (unknown
+    tables, a function called with the wrong number of arguments)
+    surface from ``prepare``.
     """
 
     def __init__(self, session: Session, sql: str) -> None:
@@ -498,6 +497,8 @@ class PreparedStatement:
         self._statement = parse_sql(sql)
         #: number of ``?`` markers execute() expects
         self.parameter_count = count_parameters(self._statement)
+        if isinstance(self._statement, SelectStmt):
+            session._select_entry(self._key, self._statement)
 
     def execute(self, *params: object) -> Result:
         kind = _statement_kind(self._key)

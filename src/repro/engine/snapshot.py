@@ -73,9 +73,14 @@ class EngineSnapshot:
 
 
 class ExecContext:
-    """What a session installs while executing one statement."""
+    """What a session installs while executing one statement.
 
-    __slots__ = ("snapshot", "io", "budget")
+    ``udf_calls`` (per-kind counter -> calls) and ``udf_seconds`` are the
+    statement's UDF tally, which bound invokers add to without a lock and
+    :func:`repro.engine.udf.settle` folds into metrics at statement end.
+    """
+
+    __slots__ = ("snapshot", "io", "budget", "udf_calls", "udf_seconds")
 
     def __init__(
         self,
@@ -86,6 +91,8 @@ class ExecContext:
         self.snapshot = snapshot
         self.io = io
         self.budget = budget
+        self.udf_calls: dict = {}
+        self.udf_seconds = 0.0
 
 
 #: the active execution context; None outside session-managed execution
@@ -103,8 +110,11 @@ def activate(
     return _CONTEXT.set(ExecContext(snapshot, io, budget))
 
 
-def deactivate(token: Token) -> None:
+def deactivate(token: Token) -> ExecContext:
+    """Uninstall the context :func:`activate` installed; returns it."""
+    context = _CONTEXT.get()
     _CONTEXT.reset(token)
+    return context
 
 
 def current_context() -> ExecContext | None:

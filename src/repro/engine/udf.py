@@ -14,23 +14,41 @@ mechanism, not just the number:
   take a full serialization round trip (we use pickle), which is the
   "significant performance penalty" the paper cites for FENCED mode.
 
-Every invocation is counted, so tests and benchmarks can assert how many
-UDF calls a query plan made (the paper attributes the small-data-set
-slowdown of XORator to "four to eight calls of UDFs" per query).
+Functions are bound once per plan: :meth:`FunctionRegistry.bind`
+resolves the function, checks its arity (raising :class:`UdfError`) and
+returns its *invoker*, which compiled expressions and
+``LateralFunctionScan`` call directly.  Per call the invoker does only
+what must happen per call: count the call by name in
+``registry.stats`` (tests and benchmarks assert how many UDF calls a
+plan made — the paper attributes XORator's small-data-set slowdown to
+"four to eight calls of UDFs" per query), tick the governor budget,
+cross the boundary (:meth:`ScalarFunction.invoke` reads ``fn`` at call
+time) and wrap failures in :class:`UdfError`.  Each call's kind and
+time go, without a lock, to the running statement's
+:class:`~repro.engine.snapshot.ExecContext`; :func:`settle` folds them
+once per statement into the exact ``udf.calls.<kind>`` counters and the
+statement's ``udf`` wait.  A call outside a session statement settles
+alone.
 """
 
 from __future__ import annotations
 
 import enum
 import pickle
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
-from repro.engine.snapshot import active_budget
+from repro.engine.snapshot import (
+    ExecContext,
+    activate,
+    current_context,
+    deactivate,
+)
 from repro.engine.types import SqlType, is_xadt_value
 from repro.errors import ReproError, UdfError
 from repro.obs.metrics import METRICS
+from repro.obs.trace import WAIT_SINK
 
 
 class FunctionKind(enum.Enum):
@@ -39,21 +57,9 @@ class FunctionKind(enum.Enum):
     FENCED = "fenced"
 
 
-#: fine sub-millisecond boundaries — single UDF calls are microseconds
-_UDF_LATENCY_BUCKETS = (
-    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1,
-)
-
-#: per-fencing-mode invocation counters and latency histograms
+#: per-fencing-mode invocation counters (advanced once per statement)
 _CALL_COUNTERS = {
     kind: METRICS.counter(f"udf.calls.{kind.value.replace(' ', '_')}")
-    for kind in FunctionKind
-}
-_CALL_HISTOGRAMS = {
-    kind: METRICS.histogram(
-        f"udf.seconds.{kind.value.replace(' ', '_')}", _UDF_LATENCY_BUCKETS
-    )
     for kind in FunctionKind
 }
 
@@ -74,6 +80,10 @@ def _fence(value: object) -> object:
     return pickle.loads(pickle.dumps(value))
 
 
+def _failure(what: str, name: str, exc: Exception) -> UdfError:
+    return UdfError(f"{what} {name!r} failed: {type(exc).__name__}: {exc}")
+
+
 @dataclass
 class ScalarFunction:
     """A registered scalar function."""
@@ -86,14 +96,13 @@ class ScalarFunction:
     max_args: int | None = None
     #: declared result type, when known (used for output schemas)
     result_type: SqlType | None = None
+    #: the registry's invoker for this function (built on first bind)
+    invoker: Callable[..., object] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def invoke(self, args: Sequence[object]) -> object:
-        if len(args) < self.min_args or (
-            self.max_args is not None and len(args) > self.max_args
-        ):
-            raise UdfError(
-                f"function {self.name!r} called with {len(args)} arguments"
-            )
+        """One call across the boundary, failures wrapped in UdfError."""
         try:
             if self.kind is FunctionKind.BUILTIN:
                 return self.fn(*args)
@@ -105,9 +114,7 @@ class ScalarFunction:
         except ReproError:
             raise  # library errors carry their own context
         except Exception as exc:
-            raise UdfError(
-                f"function {self.name!r} failed: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise _failure("function", self.name, exc) from exc
 
 
 @dataclass
@@ -119,16 +126,30 @@ class TableFunction:
     #: output column (name, type) pairs
     output_columns: list[tuple[str, SqlType]]
     kind: FunctionKind = FunctionKind.NOT_FENCED
+    #: minimum/maximum accepted argument counts (None = unbounded max)
+    min_args: int = 0
+    max_args: int | None = None
+    #: the registry's invoker for this function (built on first bind)
+    invoker: Callable[..., list[tuple]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def invoke(self, args: Sequence[object]) -> Iterable[tuple]:
-        if self.kind is FunctionKind.BUILTIN:
-            return self.fn(*args)
-        if self.kind is FunctionKind.NOT_FENCED:
-            return self.fn(*[_marshal(a) for a in args])
-        return [
-            tuple(_fence(v) for v in row)
-            for row in self.fn(*[_fence(a) for a in args])
-        ]
+    def invoke(self, args: Sequence[object]) -> list[tuple]:
+        """One call across the boundary, its rows fully produced; failures
+        of the call and of iterating its result are wrapped in UdfError."""
+        try:
+            if self.kind is FunctionKind.BUILTIN:
+                return list(self.fn(*args))
+            if self.kind is FunctionKind.NOT_FENCED:
+                return list(self.fn(*[_marshal(a) for a in args]))
+            return [
+                tuple(_fence(v) for v in row)
+                for row in self.fn(*[_fence(a) for a in args])
+            ]
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise _failure("table function", self.name, exc) from exc
 
 
 @dataclass
@@ -144,6 +165,55 @@ class InvocationStats:
 
     def total_udf_calls(self) -> int:
         return sum(self.scalar_calls.values()) + sum(self.table_calls.values())
+
+
+def settle(context: ExecContext) -> None:
+    """Fold one statement's UDF tally into the ``udf.calls.<kind>``
+    counters and, when a statement profiler is listening, its ``udf``
+    wait."""
+    for counter, calls in context.udf_calls.items():
+        counter.inc(calls)
+    if context.udf_seconds:
+        sink = WAIT_SINK.get()
+        if sink is not None:
+            sink["udf"] = sink.get("udf", 0.0) + context.udf_seconds
+
+
+def _settled_call(invoker: Callable[..., object], args: tuple) -> object:
+    """Run one call outside a session statement as its own statement."""
+    token = activate(None)
+    try:
+        return invoker(*args)
+    finally:
+        settle(deactivate(token))
+
+
+def _invoker(
+    function: ScalarFunction | TableFunction, counts: dict[str, int]
+) -> Callable[..., object]:
+    name = function.name
+    counter = _CALL_COUNTERS[function.kind]
+
+    def invoke(*args: object) -> object:
+        context = current_context()
+        if context is None:
+            return _settled_call(invoke, args)
+        counts[name] = counts.get(name, 0) + 1
+        # UDFs dominate a governed statement's time between batch
+        # boundaries (a sleeping or looping function body), so the
+        # timeout is also checked per invocation
+        budget = context.budget
+        if budget is not None:
+            budget.tick()
+        started = perf_counter()
+        try:
+            return function.invoke(args)
+        finally:
+            context.udf_seconds += perf_counter() - started
+            calls = context.udf_calls
+            calls[counter] = calls.get(counter, 0) + 1
+
+    return invoke
 
 
 class FunctionRegistry:
@@ -179,13 +249,17 @@ class FunctionRegistry:
         fn: Callable[..., Iterable[tuple]],
         output_columns: list[tuple[str, SqlType]],
         kind: FunctionKind = FunctionKind.NOT_FENCED,
+        min_args: int = 0,
+        max_args: int | None = None,
     ) -> None:
         key = name.lower()
         if key in self._tables:
             raise UdfError(f"table function {name!r} already registered")
-        self._tables[key] = TableFunction(name, fn, list(output_columns), kind)
+        self._tables[key] = TableFunction(
+            name, fn, list(output_columns), kind, min_args, max_args
+        )
 
-    # -- lookup / invocation ---------------------------------------------------
+    # -- lookup / binding ----------------------------------------------------
 
     def has_scalar(self, name: str) -> bool:
         return name.lower() in self._scalars
@@ -205,38 +279,33 @@ class FunctionRegistry:
         except KeyError:
             raise UdfError(f"unknown table function {name!r}") from None
 
-    def call_scalar(self, name: str, args: Sequence[object]) -> object:
-        function = self.scalar(name)
-        key = function.name
-        self.stats.scalar_calls[key] = self.stats.scalar_calls.get(key, 0) + 1
-        # UDFs dominate a governed statement's time between batch
-        # boundaries (a sleeping or looping function body), so the
-        # timeout is also checked per invocation
-        budget = active_budget()
-        if budget is not None:
-            budget.tick()
-        if not METRICS.enabled:
-            return function.invoke(args)
-        _CALL_COUNTERS[function.kind].inc()
-        started = time.perf_counter()
-        result = function.invoke(args)
-        _CALL_HISTOGRAMS[function.kind].observe(time.perf_counter() - started)
-        return result
+    def bind(
+        self, function: ScalarFunction | TableFunction, arg_count: int
+    ) -> Callable[..., object]:
+        """Check ``arg_count`` against ``function``'s arity and return its
+        invoker (one per function; plans call it once per row)."""
+        if arg_count < function.min_args or (
+            function.max_args is not None and arg_count > function.max_args
+        ):
+            raise UdfError(
+                f"function {function.name!r} called with {arg_count} arguments"
+            )
+        if function.invoker is None:
+            counts = (
+                self.stats.scalar_calls
+                if isinstance(function, ScalarFunction)
+                else self.stats.table_calls
+            )
+            function.invoker = _invoker(function, counts)
+        return function.invoker
 
-    def call_table(self, name: str, args: Sequence[object]) -> Iterable[tuple]:
-        function = self.table_function(name)
-        key = function.name
-        self.stats.table_calls[key] = self.stats.table_calls.get(key, 0) + 1
-        budget = active_budget()
-        if budget is not None:
-            budget.tick()
-        if not METRICS.enabled:
-            return function.invoke(args)
-        _CALL_COUNTERS[function.kind].inc()
-        started = time.perf_counter()
-        result = function.invoke(args)
-        _CALL_HISTOGRAMS[function.kind].observe(time.perf_counter() - started)
-        return result
+    def call_scalar(self, name: str, args: Sequence[object]) -> object:
+        """By-name call through the same invoker a plan binds."""
+        return self.bind(self.scalar(name), len(args))(*args)
+
+    def call_table(self, name: str, args: Sequence[object]) -> list[tuple]:
+        """By-name table-function call through its bound invoker."""
+        return self.bind(self.table_function(name), len(args))(*args)
 
     # -- built-ins ---------------------------------------------------------------
 

@@ -15,8 +15,11 @@ installs a per-thread wait sink (:data:`repro.obs.trace.WAIT_SINK`); the
 tracer's spans — ``parse``, ``plan``, ``execute``, ``wal.fsync`` —
 record their durations into it even when the Chrome trace buffer is
 off.  At finish the sink is folded into a breakdown whose parts sum to
-the statement's wall time: nested waits (``wal.fsync``,
-``governor.throttle``, ``exchange``) are subtracted from ``execute``, and the unattributed remainder lands in ``other``.
+the statement's wall time: nested waits (``udf``, ``wal.fsync``,
+``governor.throttle``, ``exchange``) are subtracted from ``execute``,
+and the unattributed remainder lands in ``other``.  ``udf`` is not a
+span: the UDF invokers add up their calls' time per statement and
+:func:`repro.engine.udf.settle` writes it into the sink once.
 The modelled-I/O stall a :class:`~repro.engine.executor.ConcurrentExecutor`
 sleeps *after* a query returns is attributed by the executor itself via
 :meth:`StatementStatsCollector.record_wait` (wait name ``io.stall``).
@@ -51,7 +54,10 @@ from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.obs.trace import WAIT_SINK
 
 #: the wait taxonomy, in report order.  ``parse``/``plan``/``execute``
-#: are the statement phases; ``wal.fsync`` is durable-commit sync time;
+#: are the statement phases; ``udf`` is time spent inside scalar and
+#: table function calls (boundary crossing plus body — for XORator the
+#: XADT methods), fed once per statement by the UDF invokers' tally;
+#: ``wal.fsync`` is durable-commit sync time;
 #: ``governor.throttle`` is admission-control delay (reserved — the
 #: governor aborts rather than throttles today, so it reads zero);
 #: ``io.stall`` is the concurrent executor's modelled-disk sleep;
@@ -66,6 +72,7 @@ WAIT_NAMES = (
     "parse",
     "plan",
     "execute",
+    "udf",
     "wal.fsync",
     "governor.throttle",
     "io.stall",
@@ -75,7 +82,7 @@ WAIT_NAMES = (
 
 #: waits nested inside the ``execute`` span, subtracted so the
 #: breakdown never double-counts
-_NESTED_WAITS = ("wal.fsync", "governor.throttle", "exchange")
+_NESTED_WAITS = ("udf", "wal.fsync", "governor.throttle", "exchange")
 
 #: bounded number of distinct statement keys (LRU-evicted past this)
 DEFAULT_MAX_STATEMENTS = 512

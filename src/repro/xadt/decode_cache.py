@@ -1,7 +1,7 @@
 """Byte-bounded LRU memoization of decoded XADT fragments.
 
 The XADT methods (``getElm``/``findKeyInElm``/``getElmIndex``) scan a
-fragment's event stream; for the ``dict`` codec that means running the
+fragment's tagged text; for the ``dict`` codec that means running the
 XMill-style decompressor on every call, and for the ``indexed`` codec it
 means rebuilding the element-span directory whenever a value is
 reconstructed (e.g. across the FENCED UDF marshal boundary).  QS/QG
@@ -14,9 +14,9 @@ it.
 The cache is bounded by an approximate byte budget (the in-memory size
 of the cached artifact, not the encoded payload), evicts least recently
 used entries when over budget, and refuses oversized single entries
-outright.  Correctness is cache-independent: entries are immutable by
-convention (event tuples are never mutated by consumers) and the budget
-only affects how much decoding is repeated, never the result.
+outright.  Correctness is cache-independent: entries are immutable
+(decoded text, directories, predicate verdicts) and the budget only
+affects how much decoding is repeated, never the result.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class DecodeCache:
     """LRU map from fragment identity to a decoded artifact.
 
     Keys are ``(kind, payload)`` tuples — ``kind`` separates the decoded
-    event lists of dict payloads from the span directories of indexed
-    payloads, so the two artifact families never alias.
+    text of dict payloads from the span directories of indexed payloads
+    and from predicate verdicts, so the artifact families never alias.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> None:
@@ -146,18 +146,6 @@ class DecodeCache:
         }
 
 
-def event_list_cost(events: list) -> int:
-    """Approximate in-memory bytes of a decoded event list."""
-    cost = 0
-    for event in events:
-        cost += 48  # tuple + kind string
-        cost += len(event[1])
-        if event[0] == "open" and len(event) > 2 and event[2]:
-            for name, value in event[2].items():
-                cost += len(name) + len(value) + 16
-    return cost
-
-
 #: the process-wide cache instance all XADT decoding goes through
 DECODE_CACHE = DecodeCache()
 
@@ -171,7 +159,7 @@ def memoize_predicate(kind: str, payload: object, args: tuple, compute):
     Keys on fragment identity (the payload content) plus the predicate's
     arguments, so repeated scans of the same document with the same
     search terms — the shape of every Fig11/Fig13 XADT filter — skip the
-    event walk entirely.  Verdicts are tiny, so the byte budget charges
+    scan entirely.  Verdicts are tiny, so the byte budget charges
     a flat :data:`PREDICATE_ENTRY_BYTES` per entry.  ``compute`` runs
     only on a miss; its result must never be None (the miss sentinel).
     """
@@ -210,6 +198,5 @@ __all__ = [
     "DecodeCache",
     "DecodeCacheStats",
     "PREDICATE_ENTRY_BYTES",
-    "event_list_cost",
     "memoize_predicate",
 ]

@@ -5,8 +5,8 @@ over the VARCHAR payload; the Python-faithful equivalent is
 ``str.find``-based scanning, which runs in C and keeps the method cost
 proportional to the fragment bytes scanned — the property the §4.3/§4.4
 analysis depends on.  :mod:`repro.xadt.methods` dispatches here for
-plain payloads, to :class:`repro.xadt.metadata.SpanDirectory` for the
-``indexed`` codec, and to the generic event walk for the compressed
+plain payloads and for the compressed codec's decoded (memoized) text,
+and to :class:`repro.xadt.metadata.SpanDirectory` for the ``indexed``
 codec.
 
 Assumption (guaranteed by the XADT encoders and serializer, and by
@@ -18,7 +18,6 @@ so every raw ``<`` in the payload starts markup.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import XadtMethodError
@@ -36,14 +35,18 @@ def text_of(fragment_text: str) -> str:
     return stripped
 
 
-@dataclass(frozen=True)
 class Span:
     """One element occurrence inside a payload string."""
 
-    start: int          #: offset of '<'
-    content_start: int  #: offset just past the opening tag's '>'
-    content_end: int    #: offset of the matching '</'
-    end: int            #: offset just past the closing '>'
+    __slots__ = ("start", "content_start", "content_end", "end")
+
+    def __init__(
+        self, start: int, content_start: int, content_end: int, end: int
+    ) -> None:
+        self.start = start                  #: offset of '<'
+        self.content_start = content_start  #: offset just past the open tag's '>'
+        self.content_end = content_end      #: offset of the matching '</'
+        self.end = end                      #: offset just past the closing '>'
 
     def slice(self, payload: str) -> str:
         return payload[self.start:self.end]

@@ -1,10 +1,10 @@
 """The XADT value type.
 
 An :class:`XadtValue` is an immutable XML fragment — zero or more sibling
-elements — stored under one of the two codecs.  It is the value that XADT
-columns hold, that the XADT methods take and return, and that ``unnest``
-emits.  The engine recognizes it structurally via the ``__xadt__`` marker
-(see :mod:`repro.engine.types`).
+elements — stored under one of the codecs of :mod:`repro.xadt.storage`.
+It is the value that XADT columns hold, that the XADT methods take and
+return, and that ``unnest`` emits.  The engine recognizes it
+structurally via the ``__xadt__`` marker (see :mod:`repro.engine.types`).
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ class XadtValue:
             raise XadtCodecError(f"{codec} payloads must be str")
         if codec == DICT and not isinstance(payload, bytes):
             raise XadtCodecError("dict payloads must be bytes")
-        object.__setattr__(self, "codec", codec)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "_size", None)
-        object.__setattr__(
-            self, "_xml", payload if isinstance(payload, str) else None
-        )
-        object.__setattr__(self, "_directory", None)
+        _fill(self, payload, codec, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("XadtValue is immutable")
@@ -74,11 +68,7 @@ class XadtValue:
         XADT methods' results).
         """
         value = object.__new__(cls)
-        object.__setattr__(value, "codec", PLAIN)
-        object.__setattr__(value, "payload", xml_text)
-        object.__setattr__(value, "_size", None)
-        object.__setattr__(value, "_xml", xml_text)
-        object.__setattr__(value, "_directory", None)
+        _fill(value, xml_text, PLAIN, None)
         return value
 
     @classmethod
@@ -102,8 +92,8 @@ class XadtValue:
     def to_xml(self) -> str:
         """The fragment as XML text."""
         cached = self._xml
-        if cached is None:
-            cached = storage.events_to_text(self.events())
+        if cached is None:  # dict payload
+            cached = storage.dict_payload_text(self.payload)  # type: ignore[arg-type]
             object.__setattr__(self, "_xml", cached)
         return cached
 
@@ -163,18 +153,20 @@ class XadtValue:
         return XadtValue.from_xml(self.to_xml(), codec, validate=False)
 
     def marshal_copy(self) -> "XadtValue":
-        """A physically copied value (the UDF boundary uses this).
+        """A value over a physically copied payload (the NOT FENCED UDF
+        boundary uses this; the payload already passed the codec checks,
+        so the copy skips them).
 
         The span directory is *stored metadata* (§5): it crosses the UDF
         boundary with the value instead of being rebuilt per call.
         """
-        if isinstance(self.payload, str):
-            copied: str | bytes = self.payload.encode("utf-8").decode("utf-8")
+        payload = self.payload
+        if isinstance(payload, str):
+            copied: str | bytes = payload.encode("utf-8").decode("utf-8")
         else:
-            copied = bytes(bytearray(self.payload))
-        copy = XadtValue(copied, self.codec)
-        if self.codec == INDEXED and self._directory is not None:
-            object.__setattr__(copy, "_directory", self._directory)
+            copied = bytes(bytearray(payload))
+        copy = object.__new__(XadtValue)
+        _fill(copy, copied, self.codec, self._directory)
         return copy
 
     # -- value semantics ------------------------------------------------------------
@@ -192,6 +184,17 @@ class XadtValue:
         if len(preview) > 48:
             preview = preview[:45] + "..."
         return f"XadtValue({self.codec}, {preview!r})"
+
+
+def _fill(
+    value: XadtValue, payload: str | bytes, codec: str, directory: object
+) -> None:
+    set_slot = object.__setattr__
+    set_slot(value, "codec", codec)
+    set_slot(value, "payload", payload)
+    set_slot(value, "_size", None)
+    set_slot(value, "_xml", payload if isinstance(payload, str) else None)
+    set_slot(value, "_directory", directory)
 
 
 def coerce_fragment(value: object) -> XadtValue:

@@ -32,8 +32,8 @@ charged by ``XadtValue.byte_size``).  The directory holds
 The directory is built once per value (``XadtValue.directory()``, which
 is memoized process-wide by payload), so it survives recovery, the
 FENCED pickle and the wire with the value: there is no separate index
-lifecycle.  Every method answer is byte-identical to the plain-codec
-tag scan (:mod:`repro.xadt.fastscan`) and the dict-codec event walk; the
+lifecycle.  Every method answer is byte-identical to the tag scan
+(:mod:`repro.xadt.fastscan`) the plain and dict codecs run; the
 randomized parity suite in ``tests/xadt/test_metadata.py`` enforces it.
 """
 

@@ -1,21 +1,23 @@
-"""The two XADT storage codecs (paper §3.4.1).
+"""The XADT storage codecs (paper §3.4.1).
 
 * ``plain`` — the fragment is stored as its tagged XML text (the paper's
   "naive" VARCHAR representation);
 * ``dict`` — the XMill-inspired compressed representation from
-  :mod:`repro.xadt.compress`.
+  :mod:`repro.xadt.compress`;
+* ``indexed`` — plain text plus a span directory (see
+  :mod:`repro.xadt.metadata`).
 
-Both expose the same event-stream interface, so the XADT methods run
-unchanged over either representation (the compressed scan walks the
-byte stream directly — it never materializes the XML text).
+The XADT methods scan tagged text: a dict payload is decompressed to its
+text once and the text is memoized in the decode cache
+(:func:`dict_payload_text`), so plain and dict values share one scan
+path.  The event-stream view (:func:`payload_events`) tokenizes that
+text, for the SQLite backend's shredder and the difftest generator.
 
-Graceful degradation (DESIGN.md §9): every compressed decode passes the
+Graceful degradation (DESIGN.md §9): every dict decode passes the
 ``xadt.decode`` fault-injection site.  When injected (or real) transient
 decode faults exceed a threshold, the module flips into *degraded mode*:
-dict payloads are decoded once through the raw decompressor, re-serialized
-to tagged text, and from then on served through the plain-text tokenizer
-— trading the compressed codec's speed for the tagged representation's
-robustness until :func:`reset_degradation` clears the state.
+the fault site is bypassed and decodes are served through the trusted
+decompressor until :func:`reset_degradation` clears the state.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.engine.faults import FAULTS
 from repro.errors import TransientError, XadtCodecError
 from repro.obs.metrics import METRICS
 from repro.xadt import compress
-from repro.xadt.decode_cache import DECODE_CACHE, event_list_cost
+from repro.xadt.decode_cache import DECODE_CACHE
 from repro.xmlkit.chars import escape_attribute, escape_text
 from repro.xmlkit.tokens import EndTag, StartTag, TextEvent, Tokenizer
 
@@ -112,14 +114,7 @@ def encode(xml_text: str, codec: str) -> str | bytes:
 
 
 def payload_events(payload: str | bytes, codec: str) -> Iterator[Event]:
-    """The event stream of a stored payload.
-
-    Dict payloads are decompressed through the process-wide decode cache
-    (:mod:`repro.xadt.decode_cache`): the first scan of a fragment
-    materializes and memoizes its event list, repeat scans of the same
-    payload bytes replay it without re-running the decompressor.  With
-    the cache disabled the decompressor streams lazily as before.
-    """
+    """The event stream of a stored payload (tokenized fragment text)."""
     if codec in (PLAIN, INDEXED):
         if not isinstance(payload, str):
             raise XadtCodecError("plain payloads are text")
@@ -136,15 +131,13 @@ _DECODE_FALLBACKS = METRICS.counter("xadt.decode_fallbacks")
 
 
 class DecodeDegradation:
-    """Fault counter that flips compressed decode into tagged fallback.
+    """Fault counter that flips dict decode into degraded mode.
 
-    ``record_fault()`` is called when a compressed decode raises a
+    ``record_fault()`` is called when a dict decode raises a
     :class:`~repro.errors.TransientError`; once ``threshold`` faults
-    accumulate, ``active`` turns on and every subsequent dict decode is
-    served via :func:`_degraded_text` (decompress once, re-serialize to
-    tagged text, tokenize like a plain payload) — that path skips the
-    fault site entirely, which is the point: the tagged decoder keeps
-    working while the compressed one is considered broken.
+    accumulate, ``active`` turns on and every subsequent dict decode
+    skips the fault site — the trusted slow path keeps working while
+    the compressed fast path is considered broken.
     """
 
     def __init__(self, threshold: int = 3) -> None:
@@ -186,14 +179,25 @@ def reset_degradation(threshold: int | None = None) -> None:
     DEGRADATION.reset(threshold)
 
 
-def _degraded_text(payload: bytes) -> str:
-    """The tagged-text rendering of a dict payload, cached by bytes.
+def dict_payload_text(payload: bytes) -> str:
+    """The tagged text of a dict payload, memoized by payload bytes.
 
-    The one decompression this needs bypasses the fault site: degraded
-    mode models a broken fast path with a trusted slow path, mirroring
-    how an engine falls back from a corrupt compressed page to its
-    uncompressed backup representation.
+    This is the ``xadt.decode`` fault site and the degradation switch:
+    transient decode faults are counted, and past the threshold decodes
+    bypass the site (modelling how an engine falls back from a corrupt
+    compressed page to a trusted decoder).  With the decode cache off,
+    the payload is decompressed on every call.
     """
+    if DEGRADATION.active:
+        _DECODE_FALLBACKS.inc()
+    else:
+        try:
+            if FAULTS.active:
+                FAULTS.fire("xadt.decode")
+        except TransientError:
+            if not DEGRADATION.record_fault():
+                raise
+            _DECODE_FALLBACKS.inc()
     key = ("dict-text", payload)
     text = DECODE_CACHE.get(key)
     if text is None:
@@ -203,36 +207,8 @@ def _degraded_text(payload: bytes) -> str:
 
 
 def dict_payload_events(payload: bytes) -> Iterator[Event]:
-    """Decode a dict payload, memoizing the event list by payload bytes.
-
-    This is the ``xadt.decode`` fault site and the degradation switch:
-    transient decode faults are counted, and past the threshold the
-    payload is served through the tagged-text fallback instead.
-    """
-    if DEGRADATION.active:
-        _DECODE_FALLBACKS.inc()
-        return text_to_events(_degraded_text(payload))
-    try:
-        if FAULTS.active:
-            FAULTS.fire("xadt.decode")
-    except TransientError:
-        if DEGRADATION.record_fault():
-            _DECODE_FALLBACKS.inc()
-            return text_to_events(_degraded_text(payload))
-        raise
-    if not DECODE_CACHE.enabled:
-        return compress.decode_events(payload)
-    return iter(dict_payload_event_list(payload))
-
-
-def dict_payload_event_list(payload: bytes) -> list[Event]:
-    """The fully materialized (and cached) event list of a dict payload."""
-    key = ("dict-events", payload)
-    events = DECODE_CACHE.get(key)
-    if events is None:
-        events = list(compress.decode_events(payload))
-        DECODE_CACHE.put(key, events, event_list_cost(events))
-    return events  # type: ignore[return-value]
+    """The event stream of a dict payload, tokenized from its text."""
+    return text_to_events(dict_payload_text(payload))
 
 
 def payload_size(payload: str | bytes, codec: str) -> int:

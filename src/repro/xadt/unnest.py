@@ -17,24 +17,19 @@ from typing import Iterator
 
 from repro.xadt import fastscan
 from repro.xadt.fragment import XadtValue, coerce_fragment
-from repro.xadt.methods import _iter_subtrees
-from repro.xadt.storage import INDEXED, PLAIN, events_to_text
+from repro.xadt.methods import scan_text
+from repro.xadt.storage import INDEXED
 
 
 def unnest(fragment: object, tag: str = "") -> Iterator[tuple[XadtValue]]:
     """Yield one single-column row per matching element."""
     value = coerce_fragment(fragment)
     if value.codec == INDEXED:
-        for piece in value.directory().unnest(tag):
-            yield (XadtValue(piece),)
-        return
-    if value.codec == PLAIN:
-        for piece in fastscan.unnest_plain(value.payload, tag):
-            yield (XadtValue(piece),)
-        return
-    top_level_only = not tag
-    for subtree in _iter_subtrees(value.events(), tag, top_level_only=top_level_only):
-        yield (XadtValue(events_to_text(subtree)),)
+        pieces = value.directory().unnest(tag)
+    else:
+        pieces = fastscan.unnest_plain(scan_text(value), tag)
+    for piece in pieces:
+        yield (XadtValue.wrap_plain(piece),)
 
 
 def unnest_values(fragment: object, tag: str = "") -> list[XadtValue]:

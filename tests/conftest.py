@@ -24,6 +24,19 @@ from repro.workloads.shakespeare_queries import PLAYS_QUERIES
 from repro.workloads.shakespeare_queries import workload_sql as qs_workload_sql
 from repro.workloads.sigmod_queries import workload_sql as qg_workload_sql
 from repro.xadt import register_xadt_functions
+from repro.xadt.decode_cache import DECODE_CACHE
+
+
+@pytest.fixture(autouse=True)
+def _empty_decode_cache():
+    """Start every test with an empty process-wide decode cache.
+
+    The cache is keyed on payload content, so a database built by an
+    earlier test from the same seeded corpus would otherwise hand its
+    decoded fragments and memoized verdicts to a later test's "cold"
+    runs, making timings depend on test order.
+    """
+    DECODE_CACHE.clear()
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from repro.engine.plan import physical
 from repro.engine.plan_cache import normalize_sql
 from repro.engine.types import INTEGER
 from repro.errors import ExecutionError
-from repro.obs import METRICS, MISS_FACTOR, build_report, walk
+from repro.obs import METRICS, MISS_FACTOR, STATEMENTS, build_report, walk
 from repro.obs.explain import OperatorStats
 from repro.workloads import SIGMOD_QUERIES
 
@@ -211,12 +211,24 @@ class TestEntryPoints:
 class TestObservabilityHousekeeping:
     def test_reset_function_stats_clears_udf_metrics(self, db):
         db.registry.register_scalar("double_it", lambda v: (v or 0) * 2)
-        db.execute("SELECT double_it(tag) FROM tags")
         counter = METRICS.counter("udf.calls.not_fenced")
-        assert counter.value > 0
+        db.reset_function_stats()
+        sql = "SELECT double_it(tag) FROM tags"
+        STATEMENTS.reset()
+        STATEMENTS.enable(profile_waits=True)
+        try:
+            rows = len(db.execute(sql))
+            waits = STATEMENTS.statement(normalize_sql(sql)).waits
+        finally:
+            STATEMENTS.disable()
+            STATEMENTS.reset()
+        # one call per row, settled into the counter once per statement
+        assert counter.value == rows > 0
+        assert db.registry.stats.scalar_calls["double_it"] == rows
+        assert waits["udf"] > 0.0
         db.reset_function_stats()
         assert counter.value == 0
-        assert METRICS.histogram("udf.seconds.not_fenced").count == 0
+        assert db.registry.stats.total_udf_calls() == 0
 
     def test_size_report_is_json_serializable(self, db):
         db.execute("SELECT oID FROM orders WHERE v = 3")

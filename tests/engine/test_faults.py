@@ -8,6 +8,7 @@ from repro.engine.faults import FAULTS, FaultPlan, SITES
 from repro.errors import ConfigError, CrashPoint, FaultInjected
 from repro.xadt import compress
 from repro.xadt.fragment import XadtValue
+from repro.xadt.methods import get_elm
 from repro.xadt.storage import DEGRADATION, dict_payload_events, reset_degradation
 
 
@@ -136,3 +137,18 @@ class TestDecodeDegradation:
         assert list(dict_payload_events(payload)) == list(
             compress.decode_events(payload)
         )
+
+    def test_fault_below_threshold_surfaces_from_get_elm(self):
+        reset_degradation(threshold=3)
+        value = XadtValue.from_xml(
+            "<sp><l>out</l> damned <l>spot</l></sp>", "dict"
+        )
+        expected = get_elm(value, "l", "", "spot").to_xml()
+        assert expected == "<l>spot</l>"
+        # the decode is memoized now, yet every call still passes the site
+        FAULTS.install(FaultPlan().raise_at("xadt.decode", hit=1))
+        with pytest.raises(FaultInjected):
+            get_elm(value, "l", "", "spot")
+        assert DEGRADATION.active is False
+        assert DEGRADATION.report()["faults"] == 1
+        assert get_elm(value, "l", "", "spot").to_xml() == expected

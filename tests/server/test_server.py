@@ -9,12 +9,14 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.faults import FAULTS, FaultPlan
+from repro.engine.types import XADT
 from repro.errors import (
     CatalogError,
     ConnectionLost,
     Overloaded,
     SqlSyntaxError,
     StatementTimeout,
+    UdfError,
 )
 from repro.server import ReproClient, start_server_thread
 from repro.server.protocol import (
@@ -147,6 +149,38 @@ class TestTypedErrors:
             with pytest.raises(SqlSyntaxError):
                 client.execute("SELEC nope")
             assert client.retries == retries_before
+
+
+@pytest.fixture(scope="module")
+def served_xadt():
+    db = Database("served-xadt")
+    register_xadt_functions(db)
+
+    def flaky(fragment):
+        yield (fragment,)
+        raise ValueError("row source broke")
+
+    db.registry.register_table("flaky", flaky, [("out", XADT)])
+    db.execute("CREATE TABLE d (id INT, x XADT)")
+    db.execute("INSERT INTO d VALUES (1, xadt('<a><b>1</b></a>'))")
+    handle = start_server_thread(db, max_inflight=2, queue_watermark=4)
+    yield db, handle
+    handle.stop()
+
+
+class TestTableFunctionErrorsAreTyped:
+    @pytest.mark.parametrize("sql", [
+        "SELECT u.out FROM d, TABLE(unnest(d.x, 'b', 'zzz')) u",
+        "SELECT f.out FROM d, TABLE(flaky(d.x)) f",
+    ])
+    def test_table_udf_error_reaches_the_client_as_udf_error(
+        self, served_xadt, sql
+    ):
+        _, handle = served_xadt
+        with client_for(handle) as client:
+            with pytest.raises(UdfError) as caught:
+                client.execute(sql, retry=False)
+        assert type(caught.value).__name__ == "UdfError"
 
 
 class TestProtocolViolations:

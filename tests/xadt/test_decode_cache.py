@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xadt.decode_cache import DECODE_CACHE, DecodeCache, event_list_cost
+from repro.xadt.decode_cache import DECODE_CACHE, DecodeCache
 from repro.xadt.fragment import XadtValue
 from repro.xadt.methods import find_key_in_elm, get_elm, get_elm_index
 
@@ -131,13 +131,6 @@ class TestBudget:
             DecodeCache(budget_bytes=-1)
         with pytest.raises(ValueError):
             DecodeCache().configure(budget_bytes=-5)
-
-    def test_event_list_cost_scales_with_content(self):
-        small = event_list_cost([("text", "ab")])
-        large = event_list_cost(
-            [("open", "a", {"k": "v"}), ("text", "x" * 100), ("close", "a")]
-        )
-        assert 0 < small < large
 
     def test_report_shape(self):
         report = DecodeCache().report()

@@ -23,8 +23,15 @@ from repro.xadt import (
     get_elm_index,
     unnest_values,
 )
+from repro.engine.faults import FAULTS, FaultPlan
+from repro.errors import FaultInjected
 from repro.xadt.decode_cache import DECODE_CACHE
-from repro.xadt.storage import CODECS
+from repro.xadt.storage import (
+    CODECS,
+    DEGRADATION,
+    dict_payload_text,
+    reset_degradation,
+)
 
 FRAGMENT = (
     "<SPEECH><SPEAKER>ROMEO</SPEAKER>"
@@ -171,7 +178,7 @@ def test_indexed_skips_irrelevant_payload():
 
 
 # ---------------------------------------------------------------------------
-# codec parity: indexed (directory) vs plain (tag scan) vs dict (events)
+# codec parity: indexed (directory) vs plain and dict (tag scan)
 # ---------------------------------------------------------------------------
 
 TAGS = ["LINE", "SPEAKER", "STAGEDIR", "SPEECH", "a", "b"]
@@ -225,56 +232,118 @@ def cold_cache():
     DECODE_CACHE.clear()
 
 
+def get_elm_cases(codec):
+    rng = random.Random(11)
+    for _ in range(40):
+        xml = random_fragment(rng)
+        for root in ["", rng.choice(TAGS), rng.choice(TAGS)]:
+            for search in ["", rng.choice(TAGS)]:
+                for key in ["", rng.choice(WORDS), "zz", "lo", " d"]:
+                    for level in (-1, 0, 1, 2):
+                        agreed(codec, xml, get_elm, root, search, key, level)
+
+
+def find_key_cases(codec):
+    rng = random.Random(23)
+    keys = WORDS + ["zz", "lo", "kiss die", " ", "a,", "plague on"]
+    for _ in range(40):
+        xml = random_fragment(rng)
+        for elm in ["", rng.choice(TAGS), "MISSING"]:
+            for key in keys:
+                agreed(codec, xml, find_key_in_elm, elm, key)
+            agreed(codec, xml, find_key_in_elm, elm or "LINE", "")
+
+
+def get_elm_index_cases(codec):
+    rng = random.Random(37)
+    positions = [(1, 1), (2, 2), (1, 4), (3, 2), (0, 2), (-1, 1), (2, -3), (5, 9)]
+    for _ in range(40):
+        xml = random_fragment(rng)
+        for parent in ["", rng.choice(TAGS), "MISSING"]:
+            child = rng.choice(TAGS)
+            for start, end in positions:
+                agreed(codec, xml, get_elm_index, parent, child, start, end)
+
+
+def elm_equals_cases(codec):
+    rng = random.Random(41)
+    values = WORDS + ["", "zz", "kiss die"]
+    for _ in range(40):
+        xml = random_fragment(rng)
+        for elm in [rng.choice(TAGS), rng.choice(TAGS), "MISSING"]:
+            for value in values:
+                agreed(codec, xml, elm_equals, elm, value)
+
+
+def unnest_cases(codec):
+    rng = random.Random(53)
+    for _ in range(40):
+        xml = random_fragment(rng)
+        for tag in ["", rng.choice(TAGS), "MISSING"]:
+            agreed(codec, xml, unnest_values, tag)
+
+
+def elm_text_cases(codec):
+    rng = random.Random(59)
+    for _ in range(40):
+        agreed(codec, random_fragment(rng), elm_text)
+
+
 @pytest.mark.usefixtures("cold_cache")
 @pytest.mark.parametrize("codec", CODECS)
 class TestRandomizedParity:
     """Each codec's value against the other two over the same random fragments."""
 
     def test_get_elm_parity(self, codec):
-        rng = random.Random(11)
-        for _ in range(40):
-            xml = random_fragment(rng)
-            for root in ["", rng.choice(TAGS), rng.choice(TAGS)]:
-                for search in ["", rng.choice(TAGS)]:
-                    for key in ["", rng.choice(WORDS), "zz", "lo", " d"]:
-                        for level in (-1, 0, 1, 2):
-                            agreed(codec, xml, get_elm, root, search, key, level)
+        get_elm_cases(codec)
 
     def test_find_key_parity(self, codec):
-        rng = random.Random(23)
-        keys = WORDS + ["zz", "lo", "kiss die", " ", "a,", "plague on"]
-        for _ in range(40):
-            xml = random_fragment(rng)
-            for elm in ["", rng.choice(TAGS), "MISSING"]:
-                for key in keys:
-                    agreed(codec, xml, find_key_in_elm, elm, key)
-                agreed(codec, xml, find_key_in_elm, elm or "LINE", "")
+        find_key_cases(codec)
 
     def test_get_elm_index_parity(self, codec):
-        rng = random.Random(37)
-        positions = [(1, 1), (2, 2), (1, 4), (3, 2), (0, 2), (-1, 1), (2, -3), (5, 9)]
-        for _ in range(40):
-            xml = random_fragment(rng)
-            for parent in ["", rng.choice(TAGS), "MISSING"]:
-                child = rng.choice(TAGS)
-                for start, end in positions:
-                    agreed(codec, xml, get_elm_index, parent, child, start, end)
+        get_elm_index_cases(codec)
 
     def test_elm_equals_parity(self, codec):
-        rng = random.Random(41)
-        values = WORDS + ["", "zz", "kiss die"]
-        for _ in range(40):
-            xml = random_fragment(rng)
-            for elm in [rng.choice(TAGS), rng.choice(TAGS), "MISSING"]:
-                for value in values:
-                    agreed(codec, xml, elm_equals, elm, value)
+        elm_equals_cases(codec)
 
     def test_unnest_parity(self, codec):
-        rng = random.Random(53)
-        for _ in range(40):
-            xml = random_fragment(rng)
-            for tag in ["", rng.choice(TAGS), "MISSING"]:
-                agreed(codec, xml, unnest_values, tag)
+        unnest_cases(codec)
+
+
+@pytest.fixture(params=["cache-off", "cache-on", "degraded"])
+def dict_decode_mode(request):
+    """How dict values reach their text: decoded per call with the cache
+    off, memoized with it on, or in degraded mode — past the
+    ``xadt.decode`` fault threshold, with the fault site still armed."""
+    saved_threshold = DEGRADATION.threshold
+    DECODE_CACHE.clear()
+    DECODE_CACHE.configure(enabled=request.param != "cache-off")
+    if request.param == "degraded":
+        reset_degradation(threshold=2)
+        FAULTS.install(FaultPlan().raise_at("xadt.decode", probability=1.0))
+        payload = XadtValue.from_xml(FRAGMENT, DICT).payload
+        with pytest.raises(FaultInjected):
+            dict_payload_text(payload)
+        dict_payload_text(payload)  # the second fault flips the switch
+        assert DEGRADATION.active
+    yield request.param
+    FAULTS.clear()
+    reset_degradation(threshold=saved_threshold)
+    DECODE_CACHE.configure(enabled=True)
+    DECODE_CACHE.clear()
+
+
+class TestDictDecodeModes:
+    """Dict values agree with plain and indexed in every decode mode."""
+
+    @pytest.mark.parametrize("cases", [
+        get_elm_cases, find_key_cases, get_elm_index_cases,
+        elm_equals_cases, unnest_cases, elm_text_cases,
+    ], ids=lambda cases: cases.__name__)
+    def test_dict_parity(self, dict_decode_mode, cases):
+        cases(DICT)
+        if dict_decode_mode == "degraded":
+            assert DEGRADATION.active
 
 
 @pytest.mark.usefixtures("cold_cache")

@@ -173,7 +173,7 @@ class TestElmText:
 
 
 class TestCodecAgreement:
-    """Plain fast-scan and dict event-walk must give identical answers."""
+    """Plain and dict values (both on the tag scan) must give identical answers."""
 
     FRAGMENTS = [
         SPEECH_LINES,
